@@ -37,10 +37,12 @@ KvServerSim::KvServerSim(const topology::Platform& platform, KvStore& store,
     if (tiering_ != nullptr) {
       // Full observer set: the daemon's telemetry is this server's sink (the
       // same registry the caller attached at construction, so the daemon
-      // keeps its cached handles and trace track).
+      // keeps its cached handles and trace track), and the active policy
+      // carries over — a null policy would drop a caller's override.
       os::TieredMemory::Observers obs;
       obs.telemetry = telemetry_;
       obs.faults = faults_;
+      obs.policy = &tiering_->policy();
       tiering_->Attach(obs);
     }
   }

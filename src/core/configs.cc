@@ -69,7 +69,6 @@ os::TieringConfig DefaultTieringConfig() {
   cfg.dynamic_threshold = true;
   cfg.initial_hot_threshold = 10.0;
   cfg.hint_fault_sample_rate = 0.05;
-  cfg.heat_decay = 0.5;
   return cfg;
 }
 

@@ -87,6 +87,7 @@ topology::NodeId PageAllocator::FallbackNode() const {
 }
 
 StatusOr<std::vector<PageId>> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t count) {
+  ++generation_;
   std::vector<PageId> out;
   out.reserve(count);
   // Fresh slots needed beyond the recycled ids: size the columns once up
@@ -154,6 +155,7 @@ StatusOr<std::vector<PageId>> PageAllocator::Allocate(const NumaPolicy& policy, 
 }
 
 void PageAllocator::Free(const std::vector<PageId>& pages) {
+  ++generation_;
   free_list_.reserve(free_list_.size() + pages.size());
   for (PageId id : pages) {
     assert(node_[id] >= 0 && "double free");
@@ -178,6 +180,7 @@ Status PageAllocator::MovePage(PageId id, topology::NodeId target) {
   --node_used_[static_cast<size_t>(from)];
   ++node_used_[static_cast<size_t>(target)];
   node_[id] = target;
+  ++generation_;
   return Status::Ok();
 }
 

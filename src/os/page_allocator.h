@@ -8,11 +8,11 @@
 //
 // Page metadata is stored structure-of-arrays: the placement, hotness and
 // recency columns are separate dense vectors indexed by PageId, so the
-// tiering daemon's promotion scan and decay pass stream over packed columns
-// instead of striding through per-page structs. Callers keep the record-like
-// view through page(), which returns a PageView of references into the
-// columns (same field names as the old `Page` struct, so call sites read
-// unchanged). Tier-wide scans stream the node column in id order (freed
+// tiering daemon's decay pass and heat-index rebuilds stream over packed
+// columns instead of striding through per-page structs. Callers keep the
+// record-like view through page(), which returns a PageView of references
+// into the columns (same field names as the old `Page` struct, so call
+// sites read unchanged). Whole-column passes stream in id order (freed
 // slots have node < 0), which the prefetcher handles better than any
 // resident-id list; per-tier occupancy is derived from per-node counts.
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
@@ -58,8 +58,8 @@ class PageAllocator {
     return ConstPageView{node_[id], heat_[id], last_epoch_[id]};
   }
 
-  // Raw column access for streaming scans (daemon promotion scan, decay
-  // pass). Indexed by PageId over [0, page_count()); freed slots have
+  // Raw column access for streaming passes (daemon decay sweep, index
+  // rebuild). Indexed by PageId over [0, page_count()); freed slots have
   // node < 0.
   const topology::NodeId* node_column() const { return node_.data(); }
   const float* heat_column() const { return heat_.data(); }
@@ -67,8 +67,7 @@ class PageAllocator {
   const uint32_t* epoch_column() const { return last_epoch_.data(); }
 
   // Pages currently resident on DRAM / CXL nodes (sums of per-node
-  // occupancy). The daemon's tier-wide scans stream the packed columns in id
-  // order and use these only to bound selection sizes.
+  // occupancy). The daemon uses these only to bound selection sizes.
   uint64_t DramResidentCount() const;
   uint64_t CxlResidentCount() const;
 
@@ -85,6 +84,10 @@ class PageAllocator {
   double DramFreeFraction() const;
 
   uint64_t allocated_pages() const { return allocated_; }
+  // Bumped by every Allocate, Free and successful MovePage call. The
+  // tiering daemon's heat index compares it against the value it last
+  // synced to and rebuilds when placement changed behind its back.
+  uint64_t generation() const { return generation_; }
   // Total page slots ever created (freed slots included); PageIds are dense
   // in [0, page_count()), so daemons scan this range and skip node < 0.
   uint64_t page_count() const { return node_.size(); }
@@ -108,6 +111,7 @@ class PageAllocator {
   std::vector<uint64_t> node_used_;  // Pages in use per node.
   std::vector<uint64_t> node_capacity_;
   uint64_t allocated_ = 0;
+  uint64_t generation_ = 0;
   VmCounters counters_;
 };
 

@@ -1,8 +1,8 @@
 // Pluggable promotion-policy surface for the tiering daemon (§2.3, §8).
 //
-// The daemon (TieredMemory) owns the *mechanisms* — candidate scans over the
-// packed page columns, the migration machinery, demotion cold pools, fault
-// gates — while a TieringPolicy owns the *decisions*: which scan to run,
+// The daemon (TieredMemory) owns the *mechanisms* — candidate selection over
+// its heat-ordered page index, the migration machinery, the demotion cold
+// pool, fault gates — while a TieringPolicy owns the *decisions*: which scan to run,
 // what hotness threshold and promotion budget apply this tick, and whether
 // to sit the tick out. After each tick the daemon feeds the policy a
 // TickObservation (candidates, promoted/demoted volumes, rate-limit
@@ -26,9 +26,9 @@ namespace cxl::os {
 struct TieringConfig;
 
 // Which candidate-selection mechanism the daemon runs this tick. These are
-// the scan loops formerly keyed on PromotionMode; the fused single-pass
-// implementations stay inside TieredMemory::Tick (they touch the SoA page
-// columns directly), the policy only picks one.
+// the selection mechanisms formerly keyed on PromotionMode; they stay inside
+// TieredMemory::Tick (they walk the daemon's heat index), the policy only
+// picks one.
 enum class CandidateScan {
   // Heat >= threshold on the low tier, promoted hottest-first (post-v6.1
   // hot page selection).
@@ -86,9 +86,9 @@ struct TickObservation {
   double rate_limit_saturation = 0.0;
   bool promotion_failed = false;
   double dram_free_fraction = 0.0;
-  // Migration-outcome feedback from the daemon's promote-epoch stamps
-  // (kHotnessRanked scans only; zero elsewhere):
-  //  - recent_promoted: DRAM-resident pages promoted within the stamp
+  // Migration-outcome feedback from the daemon's per-epoch promoted-page
+  // lists (kHotnessRanked scans only; zero elsewhere):
+  //  - recent_promoted: DRAM-resident pages promoted within the feedback
   //    window (the last few ticks).
   //  - recent_promoted_hot: of those, pages re-accessed this interval. A
   //    low hot/promoted ratio means promotions are not paying off — the

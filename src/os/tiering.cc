@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,21 +14,449 @@
 namespace cxl::os {
 
 namespace {
-// Promote-epoch stamps age out after this many ticks: a demotion (or a
-// re-access check) further from the promotion than this no longer counts as
-// migration-outcome feedback. Small enough that the signal tracks the
-// current regime, large enough to span the heat-decay half-life.
+// A promotion counts as migration-outcome feedback for this many ticks: a
+// demotion (or a re-access check) further from the promotion than this no
+// longer counts. Small enough that the signal tracks the current regime,
+// large enough to span the heat-decay half-life.
 constexpr uint32_t kPromoteStampWindowTicks = 8;
+// Per-epoch promoted-page lists kept: the window plus the current epoch.
+constexpr uint32_t kPromotedRingSlots = kPromoteStampWindowTicks + 1;
+
+// Tier slots of the heat index: DRAM, and every other node kind.
+constexpr int kTopTier = 0;
+constexpr int kLowTier = 1;
+
+// Binary exponent of a positive heat: floor(log2(heat)) for normal floats,
+// -127 for every subnormal (rounded halving makes their exponents drift, so
+// nothing relies on them) and 128 for infinity.
+int HeatExponent(float heat) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &heat, sizeof(bits));
+  const int biased = static_cast<int>((bits >> 23) & 0xffu);
+  return biased == 0 ? -127 : biased - 127;
+}
+
+bool TestBit(const std::vector<uint64_t>& bits, uint64_t i) {
+  return ((bits[i >> 6] >> (i & 63)) & 1u) != 0;
+}
+void SetBit(std::vector<uint64_t>& bits, uint64_t i) { bits[i >> 6] |= uint64_t{1} << (i & 63); }
+void ClearBit(std::vector<uint64_t>& bits, uint64_t i) {
+  bits[i >> 6] &= ~(uint64_t{1} << (i & 63));
+}
+
+int TierOf(const PageAllocator& allocator, topology::NodeId node) {
+  return allocator.IsDramNode(node) ? kTopTier : kLowTier;
+}
 }  // namespace
+
+// Heat-ordered index of resident pages, one set of buckets per tier.
+//
+// A page with heat h > 0 is filed under key = exponent(h) + decays, where
+// `decays` counts the decay sweeps so far. Decay halves every heat exactly
+// while it stays a normal float, so an untouched page keeps its key, and
+// the bucket at offset o = key - decays holds exactly the heats in
+// [2^o, 2^(o+1)): buckets are disjoint and ordered by key, and only the
+// (heat, id) order inside a bucket is unknown — rankers sort the buckets
+// they consume. Touched and migrated pages are re-filed by the daemon.
+//
+// Below FLT_MIN halving rounds: ties form and exponents drift. Every bucket
+// at offset <= kMergedMaxOffset therefore ranks as one group (all its heats
+// are <= 2^-125, below the next bucket's), and 24 halvings after going
+// subnormal a heat is exactly zero, so the bucket reaching kFoldOffset is
+// folded into the zero group. Live offsets span (kFoldOffset, kMaxOffset],
+// which a ring of kRing bucket slots per tier covers without wrapping.
+//
+// Zero-heat pages sit in a per-tier bitset, so they come out in id order —
+// their tie order — for free. A bucket is an unordered array of ids stored
+// in fixed-size blocks drawn from one shared pool, and each filed page
+// records its address there, so removal is a swap with the bucket's last
+// entry and needs no key. Cost: 4 B of address per page, 4 B per filed
+// (heat > 0) page, 2 bits of zero flags per page; blocks are recycled
+// between buckets, so memory follows the number of filed pages.
+class HeatIndex {
+ public:
+  static constexpr int kRing = 512;
+  static constexpr int kMaxOffset = 128;
+  static constexpr int kMergedMaxOffset = -126;
+  static constexpr int kFoldOffset = -151;
+  static constexpr uint32_t kBlock = 256;  // Ids per storage block.
+  static constexpr uint32_t kChunkBlocks = 64;  // Blocks per allocation.
+
+  bool built = false;
+  uint64_t synced_generation = 0;  // PageAllocator::generation() at the last sync.
+
+  // Re-creates the index over [0, page_count) with nothing filed. The
+  // promoted-page window survives (ids are stable across a rebuild).
+  void Reset(uint64_t page_count) {
+    // Entry addresses are 32-bit: filed pages plus one partly used block
+    // per bucket must fit.
+    assert(page_count <= std::numeric_limits<uint32_t>::max() - 2 * kRing * kBlock);
+    const uint64_t words = (page_count + 63) / 64;
+    for (auto& bucket : buckets_) {
+      bucket = Bucket{};
+    }
+    chunks_.clear();
+    owner_.clear();
+    free_blocks_.clear();
+    address_.resize(page_count);
+    for (auto& zero : zero_) {
+      zero.assign(words, 0);
+    }
+    promoted_bits_.resize(words, 0);
+    pool_valid_ = false;
+  }
+
+  void Link(uint64_t id, int tier, float heat) {
+    if (heat == 0.0f) {
+      SetBit(zero_[tier], id);
+      return;
+    }
+    const uint32_t slot = Slot(tier, HeatExponent(heat));
+    Bucket& bucket = buckets_[slot];
+    if (bucket.size % kBlock == 0) {
+      bucket.blocks.push_back(NewBlock(slot));
+    }
+    const uint32_t address = Address(bucket, bucket.size++);
+    Entry(address) = static_cast<uint32_t>(id);
+    address_[id] = address;
+  }
+
+  void Unlink(uint64_t id, int tier) {
+    if (TestBit(zero_[tier], id)) {
+      ClearBit(zero_[tier], id);
+      return;
+    }
+    Remove(address_[id]);
+  }
+
+  // Call after each decay sweep: advances the key origin and folds the
+  // bucket that just reached kFoldOffset (all zeros by now) into the zero
+  // group. Returns pages folded.
+  uint64_t Decay(const float* heat) {
+    ++decays_;
+    uint64_t folded = 0;
+    for (int tier : {kTopTier, kLowTier}) {
+      Bucket& bucket = buckets_[Slot(tier, kFoldOffset)];
+      ForEach(bucket, [&](uint32_t id) {
+        assert(heat[id] == 0.0f);
+        SetBit(zero_[tier], id);
+      });
+      folded += bucket.size;
+      free_blocks_.insert(free_blocks_.end(), bucket.blocks.begin(), bucket.blocks.end());
+      bucket = Bucket{};
+    }
+    (void)heat;
+    return folded;
+  }
+
+  // Calls accept(id) for every low-tier page with heat >= threshold, walking
+  // buckets from the top and stopping at the first exactly-scaled bucket
+  // wholly below the threshold. Returns pages read.
+  template <typename Accept>
+  uint64_t CollectLowTier(double threshold, const float* heat, const Accept& accept) const {
+    uint64_t examined = 0;
+    for (int offset = kMaxOffset; offset > kFoldOffset; --offset) {
+      if (offset >= kMergedMaxOffset && std::ldexp(1.0, offset + 1) <= threshold) {
+        return examined;
+      }
+      const Bucket& bucket = buckets_[Slot(kLowTier, offset)];
+      examined += bucket.size;
+      ForEach(bucket, [&](uint32_t id) {
+        // NB: heat is compared against the double threshold — narrowing
+        // the threshold to float would flip borderline candidates.
+        if (heat[id] >= threshold) {
+          accept(id);
+        }
+      });
+    }
+    if (threshold <= 0.0) {
+      for (uint64_t id = NextZero(kLowTier, 0); id != kNone; id = NextZero(kLowTier, id + 1)) {
+        ++examined;
+        accept(static_cast<uint32_t>(id));
+      }
+    }
+    return examined;
+  }
+
+  // --- Demotion cold pool -------------------------------------------------
+  // A prefix of the DRAM pages in ascending (heat, id) order, gathered group
+  // by group — zero group in id order, then the merged group, then buckets
+  // upward — and ranked lazily: entries [pool_next_, pool_ranked_) are
+  // sorted and no larger than any later entry or any page not yet gathered.
+  // Heat is constant within a tick, so consuming the prefix demotes exactly
+  // the current (heat, id)-minimum DRAM page each time. Invalidated at each
+  // tick start and when a page enters DRAM inside a group already gathered.
+
+  void InvalidatePool() { pool_valid_ = false; }
+
+  // Ensures `need` ranked entries are available (fewer only once every DRAM
+  // page is gathered). Adds the pages read to *examined.
+  void RankPool(uint64_t need, const float* heat, uint64_t* examined) {
+    if (!pool_valid_) {
+      StartPool(heat, examined);
+    }
+    while (pool_ranked_ - pool_next_ < need) {
+      if (pool_ranked_ < pool_.size()) {
+        // Select the m smallest unranked entries in O(unranked), then sort
+        // just those: a tick ranks only what it demotes.
+        const uint64_t m = std::min<uint64_t>(need - (pool_ranked_ - pool_next_),
+                                              pool_.size() - pool_ranked_);
+        const auto first = pool_.begin() + static_cast<std::ptrdiff_t>(pool_ranked_);
+        const auto middle = first + static_cast<std::ptrdiff_t>(m);
+        std::nth_element(first, middle, pool_.end());
+        std::sort(first, middle);
+        pool_ranked_ += m;
+        continue;
+      }
+      if (pool_phase_ == PoolPhase::kZeros) {
+        // Zeros tie on heat, so id order is rank order: gather only what
+        // is needed.
+        while (pool_ranked_ - pool_next_ < need) {
+          const uint64_t id = NextZero(kTopTier, pool_zero_cursor_);
+          if (id == kNone) {
+            pool_zero_cursor_ = kNone;
+            pool_phase_ = PoolPhase::kMerged;
+            break;
+          }
+          pool_.emplace_back(0.0f, static_cast<uint32_t>(id));
+          pool_ranked_ = pool_.size();
+          pool_zero_cursor_ = id + 1;
+          ++*examined;
+        }
+      } else if (pool_phase_ == PoolPhase::kMerged) {
+        for (int offset = kFoldOffset + 1; offset <= kMergedMaxOffset; ++offset) {
+          *examined += Gather(offset, heat);
+        }
+        pool_phase_ = PoolPhase::kBuckets;
+      } else if (pool_next_offset_ <= kMaxOffset) {
+        *examined += Gather(pool_next_offset_++, heat);
+      } else {
+        return;  // Every DRAM page is ranked.
+      }
+    }
+  }
+
+  // The next ranked entry, or null when the pool is exhausted.
+  const std::pair<float, uint32_t>* PoolFront() const {
+    return pool_next_ < pool_ranked_ ? &pool_[pool_next_] : nullptr;
+  }
+  void PopPool() { ++pool_next_; }
+
+  // Whether a page entering DRAM with `heat` falls inside a group the pool
+  // already gathered — it would then be missing from the ranked prefix.
+  bool PoolCovers(float heat, uint64_t id) const {
+    if (!pool_valid_) {
+      return false;
+    }
+    if (heat == 0.0f) {
+      return pool_phase_ != PoolPhase::kZeros || id < pool_zero_cursor_;
+    }
+    if (pool_phase_ == PoolPhase::kZeros) {
+      return false;
+    }
+    const int offset = HeatExponent(heat);
+    if (offset <= kMergedMaxOffset) {
+      return pool_phase_ == PoolPhase::kBuckets;
+    }
+    return offset < pool_next_offset_;
+  }
+
+  // --- Promoted-page window -----------------------------------------------
+  // One list of promoted ids per epoch for the last kPromotedRingSlots
+  // epochs, and a bitset of their union: a page is "recently promoted"
+  // exactly when its bit is set.
+
+  void RecordPromotion(uint32_t id, uint32_t epoch) {
+    promoted_[epoch % kPromotedRingSlots].push_back(id);
+    SetBit(promoted_bits_, id);
+  }
+  bool RecentlyPromoted(uint64_t id) const { return TestBit(promoted_bits_, id); }
+
+  // Empties the list of the epoch that falls out of the window (`epoch` is
+  // the epoch just begun, which reuses its slot).
+  void RetireEpoch(uint32_t epoch) {
+    auto& expired = promoted_[epoch % kPromotedRingSlots];
+    if (expired.empty()) {
+      return;
+    }
+    for (uint32_t id : expired) {
+      ClearBit(promoted_bits_, id);
+    }
+    expired.clear();
+    MarkWindow();  // Re-marks pages the expired epoch shared with later ones.
+  }
+
+  // Calls visit(id) once per distinct page in the window. Returns list
+  // entries read.
+  template <typename Visit>
+  uint64_t ForEachRecentlyPromoted(const Visit& visit) {
+    uint64_t examined = 0;
+    for (const auto& list : promoted_) {
+      examined += list.size();
+      for (uint32_t id : list) {
+        if (TestBit(promoted_bits_, id)) {
+          ClearBit(promoted_bits_, id);  // Visit each page once.
+          visit(id);
+        }
+      }
+    }
+    MarkWindow();
+    return examined;
+  }
+
+ private:
+  static constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max();
+
+  enum class PoolPhase { kZeros, kMerged, kBuckets };
+
+  void MarkWindow() {
+    for (const auto& list : promoted_) {
+      for (uint32_t id : list) {
+        SetBit(promoted_bits_, id);
+      }
+    }
+  }
+
+  // Bucket slot of `offset` (= key - decays) in `tier`'s ring.
+  uint32_t Slot(int tier, int offset) const {
+    const uint64_t key = static_cast<uint64_t>(decays_ + offset);
+    return static_cast<uint32_t>(tier * kRing) + static_cast<uint32_t>(key & (kRing - 1));
+  }
+
+  // Storage of a bucket: `blocks` in fill order, entries [0, size).
+  struct Bucket {
+    std::vector<uint32_t> blocks;
+    uint32_t size = 0;
+  };
+
+  uint32_t Address(const Bucket& bucket, uint32_t index) const {
+    return bucket.blocks[index / kBlock] * kBlock + index % kBlock;
+  }
+
+  uint32_t& Entry(uint32_t address) const {
+    constexpr uint32_t kChunk = kChunkBlocks * kBlock;
+    return chunks_[address / kChunk][address % kChunk];
+  }
+
+  template <typename Visit>
+  void ForEach(const Bucket& bucket, const Visit& visit) const {
+    for (uint32_t index = 0; index < bucket.size; ++index) {
+      visit(Entry(Address(bucket, index)));
+    }
+  }
+
+  uint32_t NewBlock(uint32_t slot) {
+    uint32_t block = 0;
+    if (!free_blocks_.empty()) {
+      block = free_blocks_.back();
+      free_blocks_.pop_back();
+    } else {
+      block = static_cast<uint32_t>(owner_.size());
+      owner_.push_back(0);
+      if (block % kChunkBlocks == 0) {
+        // Fixed-size chunks, never reallocated: memory follows the filed
+        // pages without a large reservation or copy-on-growth.
+        chunks_.emplace_back(new uint32_t[kChunkBlocks * kBlock]);
+      }
+    }
+    owner_[block] = slot;
+    return block;
+  }
+
+  // Removes the entry at `address` by moving its bucket's last entry into
+  // its place; a block left empty returns to the pool.
+  void Remove(uint32_t address) {
+    Bucket& bucket = buckets_[owner_[address / kBlock]];
+    const uint32_t last = Entry(Address(bucket, --bucket.size));
+    Entry(address) = last;
+    address_[last] = address;
+    if (bucket.size % kBlock == 0) {
+      free_blocks_.push_back(bucket.blocks.back());
+      bucket.blocks.pop_back();
+    }
+  }
+
+  // First zero-group page of `tier` with id >= from, or kNone.
+  uint64_t NextZero(int tier, uint64_t from) const {
+    const std::vector<uint64_t>& bits = zero_[tier];
+    uint64_t w = from >> 6;
+    if (w >= bits.size()) {
+      return kNone;
+    }
+    uint64_t word = bits[w] & (~uint64_t{0} << (from & 63));
+    while (word == 0) {
+      if (++w == bits.size()) {
+        return kNone;
+      }
+      word = bits[w];
+    }
+    return (w << 6) + static_cast<uint64_t>(__builtin_ctzll(word));
+  }
+
+  // Starts a pool for this tick. Merged-group DRAM pages whose heat has
+  // underflowed to zero move to the zero group first, so that the zero
+  // group holds every zero-heat DRAM page and its id order is exact.
+  void StartPool(const float* heat, uint64_t* examined) {
+    for (int offset = kFoldOffset + 1; offset <= kMergedMaxOffset; ++offset) {
+      Bucket& bucket = buckets_[Slot(kTopTier, offset)];
+      *examined += bucket.size;
+      // Backwards: a removal moves the bucket's last, already visited,
+      // entry into the hole.
+      for (uint32_t index = bucket.size; index-- > 0;) {
+        const uint32_t address = Address(bucket, index);
+        const uint32_t id = Entry(address);
+        if (heat[id] == 0.0f) {
+          Remove(address);
+          SetBit(zero_[kTopTier], id);
+        }
+      }
+    }
+    pool_.clear();
+    pool_next_ = 0;
+    pool_ranked_ = 0;
+    pool_phase_ = PoolPhase::kZeros;
+    pool_zero_cursor_ = 0;
+    pool_next_offset_ = kMergedMaxOffset + 1;
+    pool_valid_ = true;
+  }
+
+  // Appends the DRAM bucket at `offset`, unranked. Returns pages read.
+  uint64_t Gather(int offset, const float* heat) {
+    const Bucket& bucket = buckets_[Slot(kTopTier, offset)];
+    ForEach(bucket, [&](uint32_t id) { pool_.emplace_back(heat[id], id); });
+    return bucket.size;
+  }
+
+  int64_t decays_ = 0;
+  // Buckets by slot (tier * kRing + key mod kRing). Block b holds entry
+  // addresses [b * kBlock, (b + 1) * kBlock), stored kChunkBlocks blocks
+  // per chunk, for bucket slot owner_[b]; address_ maps each filed page to
+  // its entry.
+  Bucket buckets_[2 * kRing];
+  std::vector<std::unique_ptr<uint32_t[]>> chunks_;
+  std::vector<uint32_t> owner_;
+  std::vector<uint32_t> free_blocks_;
+  std::vector<uint32_t> address_;
+  std::vector<uint64_t> zero_[2];
+
+  std::vector<std::pair<float, uint32_t>> pool_;
+  size_t pool_next_ = 0;
+  size_t pool_ranked_ = 0;
+  bool pool_valid_ = false;
+  PoolPhase pool_phase_ = PoolPhase::kZeros;
+  uint64_t pool_zero_cursor_ = 0;
+  int pool_next_offset_ = kMergedMaxOffset + 1;
+
+  std::vector<uint32_t> promoted_[kPromotedRingSlots];
+  std::vector<uint64_t> promoted_bits_;
+};
 
 const char* TieringConfig::PolicyName() const {
   return policy.empty() ? PolicyNameForMode(mode) : policy.c_str();
 }
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
-    : allocator_(allocator),
-      config_(std::move(config)),
-      promote_epoch_(allocator.page_count(), 0) {
+    : allocator_(allocator), config_(std::move(config)) {
   auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
@@ -40,6 +469,8 @@ TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
   policy_ = owned_policy_.get();
 }
 
+TieredMemory::~TieredMemory() = default;
+
 bool TieredMemory::IsTopTier(topology::NodeId node) const {
   return allocator_.IsDramNode(node);
 }
@@ -49,6 +480,12 @@ void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
   const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
   auto p = allocator_.page(page);
   p.heat += static_cast<float>(sampled);
+  if (p.last_decay_epoch != epoch_) {
+    // First touch this epoch: the next Tick() re-files the page. (A stale
+    // stamp that already equals epoch_ — id recycling, epoch 0 — implies an
+    // allocation since the last tick, which rebuilds the index anyway.)
+    touched_.push_back(static_cast<uint32_t>(page));
+  }
   p.last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
 }
@@ -63,44 +500,71 @@ uint64_t TieredMemory::LowTierPages() const {
   return total;
 }
 
-void TieredMemory::BuildColdPool(uint64_t k) {
-  // Select the `k` coldest DRAM-resident pages with a bounded max-heap
-  // streamed over the DRAM resident list and the packed heat column. The
-  // (heat, id) pairs form a total order (ids are unique), so the k-smallest
-  // set — and its ascending order after sort_heap — is exactly what a
-  // full-scan partial_sort would produce.
-  const float* heat_col = allocator_.heat_column();
-  const topology::NodeId* node_col = allocator_.node_column();
-  const uint64_t want = std::min<uint64_t>(k, allocator_.DramResidentCount());
-  cold_pool_.clear();
-  cold_pool_.reserve(want);
-  // Stream the packed node/heat columns in id order — sequential loads the
-  // prefetcher can follow, unlike chasing the unordered resident list. The
-  // k-smallest set is iteration-order independent, so the selection is
-  // unchanged.
-  const uint64_t page_count = allocator_.page_count();
-  for (PageId id = 0; id < page_count; ++id) {
-    if (node_col[id] < 0 || !allocator_.IsDramNode(node_col[id])) {
-      continue;
-    }
-    const std::pair<float, PageId> entry(heat_col[id], id);
-    if (cold_pool_.size() < want) {
-      cold_pool_.push_back(entry);
-      std::push_heap(cold_pool_.begin(), cold_pool_.end());
-    } else if (entry < cold_pool_.front()) {
-      std::pop_heap(cold_pool_.begin(), cold_pool_.end());
-      cold_pool_.back() = entry;
-      std::push_heap(cold_pool_.begin(), cold_pool_.end());
-    }
-  }
-  std::sort_heap(cold_pool_.begin(), cold_pool_.end());  // Coldest first.
-  cold_pool_next_ = 0;
-  cold_pool_valid_ = true;
-  cold_pool_floor_ =
-      cold_pool_.empty() ? std::pair<float, PageId>(0.0f, 0) : cold_pool_.back();
+bool TieredMemory::IndexInSync() const {
+  return index_ != nullptr && index_->built &&
+         index_->synced_generation == allocator_.generation();
 }
 
-uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
+uint64_t TieredMemory::SyncIndex() {
+  const topology::NodeId* node_col = allocator_.node_column();
+  const float* heat_col = allocator_.heat_column();
+  if (IndexInSync()) {
+    for (uint32_t id : touched_) {
+      if (node_col[id] >= 0) {
+        const int tier = TierOf(allocator_, node_col[id]);
+        index_->Unlink(id, tier);
+        index_->Link(id, tier, heat_col[id]);
+      }
+    }
+    return touched_.size();
+  }
+  // First tick, or pages were allocated, freed or moved behind the daemon's
+  // back: file every resident page afresh.
+  if (index_ == nullptr) {
+    index_ = std::make_unique<HeatIndex>();
+  }
+  const uint64_t page_count = allocator_.page_count();
+  const uint32_t* epoch_col = allocator_.epoch_column();
+  index_->Reset(page_count);
+  touched_.clear();
+  for (PageId id = 0; id < page_count; ++id) {
+    if (node_col[id] < 0) {
+      continue;
+    }
+    index_->Link(id, TierOf(allocator_, node_col[id]), heat_col[id]);
+    // Recycled ids keep stale recency stamps, so the touched list is
+    // recomputed too. Only heat > 0 pages matter to it (the MRU scan needs
+    // heat > 0; zero heat means nothing to re-file), and the filter keeps an
+    // epoch-0 rebuild from listing every page.
+    if (epoch_col[id] == epoch_ && heat_col[id] > 0.0f) {
+      touched_.push_back(static_cast<uint32_t>(id));
+    }
+  }
+  index_->built = true;
+  index_->synced_generation = allocator_.generation();
+  return page_count;
+}
+
+Status TieredMemory::MoveIndexed(PageId page, topology::NodeId target) {
+  const bool in_sync = IndexInSync();
+  if (in_sync) {
+    index_->Unlink(page, TierOf(allocator_, allocator_.NodeOf(page)));
+  }
+  Status status = allocator_.MovePage(page, target);
+  if (in_sync) {
+    index_->Link(page, TierOf(allocator_, allocator_.NodeOf(page)), allocator_.page(page).heat);
+    index_->synced_generation = allocator_.generation();
+  }
+  return status;
+}
+
+void TieredMemory::AdvanceEpoch() {
+  ++epoch_;
+  touched_.clear();
+  index_->RetireEpoch(epoch_);
+}
+
+uint64_t TieredMemory::DemoteColdPages(uint64_t count, uint64_t* examined) {
   // Find a demotion target (CXL node with space).
   const auto& platform = allocator_.platform();
   auto pick_cxl = [&]() -> topology::NodeId {
@@ -115,38 +579,29 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
     return best;
   };
 
-  // Heat is constant within a tick and every page the pool loses to a
-  // demotion leaves DRAM with it, so the pool's unconsumed prefix remains
-  // the exact k-smallest of the current DRAM set — one scan amortizes over
-  // the several demotion batches a tick issues while promoting. (Pages that
-  // *enter* DRAM mid-tick invalidate the pool if they would sort into it;
-  // see the promotion loop.) Built with headroom so the rescan is rare.
-  const uint64_t want =
-      std::min<uint64_t>(count, allocator_.DramResidentCount());
+  const uint64_t want = std::min<uint64_t>(count, allocator_.DramResidentCount());
   if (want == 0) {
     return 0;
   }
-  if (!cold_pool_valid_ || cold_pool_.size() - cold_pool_next_ < want) {
-    BuildColdPool(std::max<uint64_t>(4 * want, 4096));
-  }
+  index_->RankPool(want, allocator_.heat_column(), examined);
 
   uint64_t demoted = 0;
-  for (uint64_t i = 0; i < want && cold_pool_next_ < cold_pool_.size(); ++i) {
-    const PageId id = cold_pool_[cold_pool_next_].second;
+  for (uint64_t i = 0; i < want && index_->PoolFront() != nullptr; ++i) {
+    const PageId id = index_->PoolFront()->second;
     const topology::NodeId target = pick_cxl();
     if (target < 0) {
       ++allocator_.mutable_counters().migrate_failed;
       break;
     }
-    ++cold_pool_next_;
-    if (allocator_.MovePage(id, target).ok()) {
+    index_->PopPool();
+    ++*examined;
+    if (MoveIndexed(id, target).ok()) {
       ++demoted;
       ++allocator_.mutable_counters().pgdemote;
-      // §4.2.3 ping-pong signature: this page was promoted within the stamp
+      // §4.2.3 ping-pong signature: this page was promoted within the
       // window and is already being demoted again. Observational only —
       // feeds TickObservation, never the demotion choice itself.
-      const uint32_t stamp = promote_epoch_[id];
-      if (stamp != 0 && epoch_ - (stamp - 1) <= kPromoteStampWindowTicks) {
+      if (index_->RecentlyPromoted(id)) {
         ++tick_ping_pong_;
       }
     }
@@ -158,15 +613,9 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   TickResult result;
   result.hot_threshold = policy_->hot_threshold();
 
-  // Pages are created lazily by the allocator, so the stamp column trails
-  // page_count(); new pages start unstamped (0 = never promoted).
-  if (promote_epoch_.size() < allocator_.page_count()) {
-    promote_epoch_.resize(allocator_.page_count(), 0);
-  }
-
-  // Heat changed since the previous tick (decay, sampled accesses), so last
-  // tick's cold pool no longer reflects the (heat, id) order.
-  cold_pool_valid_ = false;
+  // Re-file the pages touched since the last tick. This precedes the skip
+  // gates below: a skipped tick still ends the epoch and its touched list.
+  result.pages_examined = SyncIndex();
 
   // Degraded-path gates. Both branches leave page state untouched: a wedged
   // daemon thread neither scans nor decays, and a backed-off daemon sits out
@@ -177,7 +626,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   if (faults_ != nullptr && faults_->enabled()) {
     if (faults_->DaemonStalled()) {
       sim_seconds_ += dt_seconds;
-      ++epoch_;
+      AdvanceEpoch();
       if (telemetry_ != nullptr) {
         telemetry_->GetCounter("tiering.stalled_ticks").Increment();
         // A stall window is active (DaemonStalled), so the id is valid.
@@ -191,7 +640,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     if (backoff_ticks_remaining_ > 0) {
       --backoff_ticks_remaining_;
       sim_seconds_ += dt_seconds;
-      ++epoch_;
+      AdvanceEpoch();
       if (telemetry_ != nullptr) {
         telemetry_->GetCounter("tiering.backoff_ticks").Increment();
         const int32_t window = faults_->AttributedWindow();
@@ -239,7 +688,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // the diagnosis layer requires every degradation response to join back
     // to a cause.
     sim_seconds_ += dt_seconds;
-    ++epoch_;
+    AdvanceEpoch();
     if (telemetry_ != nullptr) {
       telemetry_->GetCounter("tiering.policy_backoff_ticks").Increment();
       const int32_t window = (faults_ != nullptr && faults_->enabled())
@@ -261,72 +710,41 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   tick_recent_promoted_ = 0;
   tick_recent_promoted_hot_ = 0;
 
+  // Heat changed since the previous tick (decay, sampled accesses), so last
+  // tick's cold pool no longer reflects the (heat, id) order.
+  index_->InvalidatePool();
+
   // Gather promotion candidates on the low tier. Quarantined pages are
   // never candidates; the set is empty unless fault paths populated it, so
   // the extra check is one `empty()` load on healthy runs.
-  const auto quarantined = [this](PageId id) {
-    return !quarantined_.empty() && quarantined_.count(id) != 0;
-  };
   const float* heat_col = allocator_.heat_column();
+  const topology::NodeId* node_col = allocator_.node_column();
+  const uint32_t* epoch_col = allocator_.epoch_column();
   ArenaVector<std::pair<float, PageId>> hot{
       ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
+  const auto collect = [&](uint32_t id) {
+    if (quarantined_.empty() || quarantined_.count(id) == 0) {
+      hot.emplace_back(heat_col[id], id);
+    }
+  };
+  const auto by_id = [](const auto& a, const auto& b) { return a.second < b.second; };
   if (decision.scan == CandidateScan::kHotnessRanked) {
-    // One sequential pass over the packed node/heat columns does double
-    // duty: CXL pages become promotion candidates, DRAM pages feed the
-    // demotion cold pool (the configs that tick the daemon over-commit
-    // DRAM, so the promotion loop below demotes almost every tick — eager
-    // building folds that scan into this one). With nothing resident on
-    // CXL there is nothing to promote and nothing the pool is for; skip.
-    const topology::NodeId* node_col = allocator_.node_column();
-    const uint32_t* epoch_col = allocator_.epoch_column();
+    // With nothing resident on CXL there is nothing to promote, and the
+    // migration feedback stays zero (the configs that tick the daemon keep
+    // both tiers populated).
     if (allocator_.CxlResidentCount() > 0) {
-      const uint64_t batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
-      const uint64_t pool_k = std::min<uint64_t>(std::max<uint64_t>(4 * batch, 4096),
-                                                 allocator_.DramResidentCount());
-      cold_pool_.clear();
-      cold_pool_.reserve(pool_k);
-      const uint64_t page_count = allocator_.page_count();
-      for (PageId id = 0; id < page_count; ++id) {
-        const topology::NodeId node = node_col[id];
-        if (node < 0) {
-          continue;
-        }
-        if (allocator_.IsDramNode(node)) {
-          // Migration-outcome feedback, folded into the scan the daemon
-          // already runs: was this DRAM page promoted within the stamp
-          // window, and if so, did the current interval touch it?
-          const uint32_t stamp = promote_epoch_[id];
-          if (stamp != 0) {
-            const uint32_t age = epoch_ - (stamp - 1);
-            if (age >= 1 && age <= kPromoteStampWindowTicks) {
-              ++tick_recent_promoted_;
-              if (epoch_col[id] == epoch_) {
-                ++tick_recent_promoted_hot_;
-              }
-            }
+      // Migration-outcome feedback: how many pages promoted within the
+      // window still sit in DRAM, and did the current interval touch them?
+      result.pages_examined += index_->ForEachRecentlyPromoted([&](uint32_t id) {
+        if (node_col[id] >= 0 && allocator_.IsDramNode(node_col[id])) {
+          ++tick_recent_promoted_;
+          if (epoch_col[id] == epoch_) {
+            ++tick_recent_promoted_hot_;
           }
-          const std::pair<float, PageId> entry(heat_col[id], id);
-          if (cold_pool_.size() < pool_k) {
-            cold_pool_.push_back(entry);
-            std::push_heap(cold_pool_.begin(), cold_pool_.end());
-          } else if (entry < cold_pool_.front()) {
-            std::pop_heap(cold_pool_.begin(), cold_pool_.end());
-            cold_pool_.back() = entry;
-            std::push_heap(cold_pool_.begin(), cold_pool_.end());
-          }
-          continue;
         }
-        // NB: heat is compared against the double threshold (as before) —
-        // narrowing the threshold to float would flip borderline candidates.
-        if (heat_col[id] >= decision.hot_threshold && !quarantined(id)) {
-          hot.emplace_back(heat_col[id], id);
-        }
-      }
-      std::sort_heap(cold_pool_.begin(), cold_pool_.end());
-      cold_pool_next_ = 0;
-      cold_pool_valid_ = true;
-      cold_pool_floor_ =
-          cold_pool_.empty() ? std::pair<float, PageId>(0.0f, 0) : cold_pool_.back();
+      });
+      result.pages_examined +=
+          index_->CollectLowTier(decision.hot_threshold, heat_col, collect);
     }
     // Hottest first, page id breaking heat ties: the rate-limit budget
     // truncates this list, so tie order decides *which* pages promote —
@@ -337,31 +755,24 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     });
   } else if (decision.scan == CandidateScan::kRecency) {
     // MRU balancing: everything touched since the last scan qualifies, in
-    // scan order — no hotness ranking. This is precisely why the earlier
+    // id order — no hotness ranking. This is precisely why the earlier
     // patch "may not accurately identify high-demand pages" (§2.3): the
     // budget is spent on recently-touched pages regardless of their heat.
-    // Promotion order is the scan order, so this scan keeps the id-ordered
-    // walk (streaming the packed columns).
-    const topology::NodeId* node_col = allocator_.node_column();
-    const uint32_t* epoch_col = allocator_.epoch_column();
-    for (PageId id = 0; id < allocator_.page_count(); ++id) {
+    result.pages_examined += touched_.size();
+    for (uint32_t id : touched_) {
       if (node_col[id] >= 0 && !allocator_.IsDramNode(node_col[id]) &&
-          epoch_col[id] == epoch_ && heat_col[id] > 0.0f && !quarantined(id)) {
-        hot.emplace_back(heat_col[id], id);
+          epoch_col[id] == epoch_ && heat_col[id] > 0.0f) {
+        collect(id);
       }
     }
+    std::sort(hot.begin(), hot.end(), by_id);
   } else {
     // TPP-like: second observed access promotes. With the default sampling
     // rate a page needs ~2 sampled hits; accumulated heat >= 2 approximates
     // the active-list check. No ordering, no rate limiting (see below);
-    // id-ordered walk for the same promotion order as before.
-    const topology::NodeId* node_col = allocator_.node_column();
-    for (PageId id = 0; id < allocator_.page_count(); ++id) {
-      if (node_col[id] >= 0 && !allocator_.IsDramNode(node_col[id]) && heat_col[id] >= 2.0f &&
-          !quarantined(id)) {
-        hot.emplace_back(heat_col[id], id);
-      }
-    }
+    // promoted in id order.
+    result.pages_examined += index_->CollectLowTier(2.0, heat_col, collect);
+    std::sort(hot.begin(), hot.end(), by_id);
   }
   result.candidates = hot.size();
   allocator_.mutable_counters().pgpromote_candidate += hot.size();
@@ -390,7 +801,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       // DRAM full: demote cold pages to make room (kswapd-style), which
       // consumes migration bandwidth too. Demote in small batches.
       const uint64_t batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
-      const uint64_t freed = DemoteColdPages(batch);
+      const uint64_t freed = DemoteColdPages(batch, &result.pages_examined);
       result.demoted_pages += freed;
       result.migrated_bytes += static_cast<double>(freed) * page_bytes;
       target = pick_dram();
@@ -399,18 +810,18 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
         break;  // Machine genuinely full.
       }
     }
-    if (allocator_.MovePage(id, target).ok()) {
+    ++result.pages_examined;
+    if (MoveIndexed(id, target).ok()) {
       ++promoted;
       ++allocator_.mutable_counters().pgpromote_success;
       result.migrated_bytes += page_bytes;
-      promote_epoch_[id] = epoch_ + 1;  // Stamp; 0 is reserved for "never".
-      // A page entering DRAM at or below the cold pool's floor belongs in
-      // the pool — drop it so the next demotion batch rescans. Promoted
-      // pages are hot by construction, so this almost never fires.
-      if (cold_pool_valid_ &&
-          (cold_pool_.empty() ||
-           std::pair<float, PageId>(heat_col[id], id) <= cold_pool_floor_)) {
-        cold_pool_valid_ = false;
+      index_->RecordPromotion(static_cast<uint32_t>(id), epoch_);
+      // A page entering DRAM inside a group the cold pool already ranked
+      // would be missing from it — drop the pool so the next demotion
+      // batch starts over. Promoted pages are hot by construction, so this
+      // almost never fires.
+      if (index_->PoolCovers(heat, id)) {
+        index_->InvalidatePool();
       }
     } else {
       promotion_failed = true;
@@ -448,7 +859,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   // Demotion under DRAM pressure even without promotions (watermark).
   uint64_t watermark_demoted = 0;
   if (allocator_.DramFreeFraction() < config_.demotion_free_watermark) {
-    const uint64_t freed = DemoteColdPages(std::clamp<uint64_t>(budget_pages / 8, 16, 4096));
+    const uint64_t freed = DemoteColdPages(std::clamp<uint64_t>(budget_pages / 8, 16, 4096),
+                                           &result.pages_examined);
     watermark_demoted = freed;
     result.demoted_pages += freed;
     result.migrated_bytes += static_cast<double>(freed) * page_bytes;
@@ -479,19 +891,19 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   result.hot_threshold = policy_->hot_threshold();
 
   // Decay heat for the next interval: one sequential (vectorizable) sweep
-  // over the packed heat column instead of two random-order walks through
-  // the tier lists. The sweep also multiplies freed slots' stale values,
-  // which is unobservable: allocation resets heat to zero and every reader
-  // filters on node >= 0. Resident pages see the identical single multiply.
+  // over the packed heat column. The sweep also halves freed slots' stale
+  // values, which is unobservable: allocation resets heat to zero and every
+  // reader filters on node >= 0. The index keys need no update — halving
+  // keeps every untouched page's exponent relative to the decay count.
   {
     float* heat_mut = allocator_.mutable_heat_column();
-    const float decay = static_cast<float>(config_.heat_decay);
     const uint64_t n = allocator_.page_count();
     for (uint64_t id = 0; id < n; ++id) {
-      heat_mut[id] *= decay;
+      heat_mut[id] *= kHeatDecay;
     }
   }
-  ++epoch_;
+  result.pages_examined += index_->Decay(heat_col);
+  AdvanceEpoch();
 
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
@@ -519,10 +931,13 @@ bool TieredMemory::QuarantinePage(PageId page) {
   if (!quarantined_.insert(page).second) {
     return false;  // Already quarantined.
   }
-  // The heat reset (and possible eviction below) perturbs the (heat, id)
-  // order the demotion pool was built on.
-  cold_pool_valid_ = false;
   auto p = allocator_.page(page);
+  if (p.node >= 0 && IndexInSync()) {
+    // The heat reset re-files the page under the zero group.
+    const int tier = TierOf(allocator_, p.node);
+    index_->Unlink(page, tier);
+    index_->Link(page, tier, 0.0f);
+  }
   p.heat = 0.0f;
   if (p.node >= 0 && IsTopTier(p.node)) {
     // Evict the poisoned page from the hot tier: it must not occupy DRAM
@@ -536,7 +951,7 @@ bool TieredMemory::QuarantinePage(PageId page) {
         target = n.id;
       }
     }
-    if (target >= 0 && allocator_.MovePage(page, target).ok()) {
+    if (target >= 0 && MoveIndexed(page, target).ok()) {
       ++allocator_.mutable_counters().pgdemote;
     }
   }
@@ -559,6 +974,7 @@ bool TieredMemory::QuarantinePage(PageId page) {
   }
   return true;
 }
+
 
 void TieredMemory::EmitTickTelemetry(const TickResult& result, double dt_seconds) {
   if (telemetry_ == nullptr || dt_seconds <= 0.0) {

@@ -15,8 +15,23 @@
 //
 // *Which* pages promote, under what threshold and budget, is decided by a
 // pluggable TieringPolicy (src/os/policy.h) resolved by name through the
-// PolicyRegistry; TieredMemory owns the mechanisms (scans, migration,
-// demotion pools, fault gates) and feeds the policy per-tick observations.
+// PolicyRegistry; TieredMemory owns the mechanisms (candidate selection,
+// migration, the demotion cold pool, fault gates) and feeds the policy
+// per-tick observations.
+//
+// Selection runs on a heat-ordered index of resident pages (HeatIndex,
+// tiering.cc). Heat decays by exactly kHeatDecay = 0.5 per tick, so an
+// untouched page keeps its binary exponent relative to the number of decays
+// so far; the index files each page under that key in per-tier buckets and
+// re-files only the pages a tick touches or migrates. Promotion candidates
+// come from the low-tier buckets, walked from the top down to the
+// threshold; the demotion cold pool walks the DRAM buckets from the bottom
+// up (zero-heat pages in id order first) and ranks only what it demotes. A
+// tick therefore reads the pages touched since the last tick, the pages it
+// migrates and the pages it must rank — plus one dense decay sweep over the
+// heat column. Every choice is the one a full (heat, id)-ordered scan would
+// make; docs/performance.md gives the exactness argument, and
+// tests/os/tiering_index_test.cc checks it against such a scan.
 #ifndef CXL_EXPLORER_SRC_OS_TIERING_H_
 #define CXL_EXPLORER_SRC_OS_TIERING_H_
 
@@ -78,8 +93,6 @@ struct TieringConfig {
   // Dynamically adjust the threshold to match promotion candidates to the
   // rate limit (the "hot page selection" patch behaviour).
   bool dynamic_threshold = true;
-  // Exponential decay applied to page heat each tick.
-  double heat_decay = 0.5;
   // Demote cold DRAM pages when DRAM free fraction falls below this.
   double demotion_free_watermark = 0.02;
   // Fraction of real accesses observed by hint-fault sampling.
@@ -100,9 +113,17 @@ void DeclareTieringKnobs(KnobSet& knobs);
 // overrides vm.tiering_policy for one release (deprecated-alias semantics).
 TieringConfig TieringConfigFromKnobs(const KnobSet& knobs);
 
+// Factor applied to every page's heat at the end of each daemon tick. A
+// power of two, so decay is exact for normal floats and never reorders
+// untouched pages — the invariant the daemon's heat index is built on.
+inline constexpr float kHeatDecay = 0.5f;
+
+class HeatIndex;
+
 class TieredMemory {
  public:
   TieredMemory(PageAllocator& allocator, TieringConfig config);
+  ~TieredMemory();
 
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
   // counter. Called by application models once per simulation step per page
@@ -116,6 +137,12 @@ class TieredMemory {
     double migrated_bytes = 0.0;   // Promotion + demotion traffic.
     double hot_threshold = 0.0;    // Threshold in effect after adjustment.
     uint64_t candidates = 0;       // Hot low-tier pages seen this tick.
+    // Page slots the tick's selection read: pages re-filed in the heat
+    // index (touched, or all resident pages on an index rebuild), walked
+    // as candidates, gathered into the cold pool, counted for migration
+    // feedback, or migrated. Excludes the dense decay sweep. Deterministic
+    // and observational only (not exported to telemetry).
+    uint64_t pages_examined = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -175,11 +202,24 @@ class TieredMemory {
  private:
   // Demotes up to `count` of the coldest DRAM pages to make room. Returns
   // pages actually demoted.
-  uint64_t DemoteColdPages(uint64_t count);
+  uint64_t DemoteColdPages(uint64_t count, uint64_t* examined);
 
-  // Rebuilds cold_pool_ with the `k` coldest DRAM-resident pages (ascending
-  // (heat, id) order) and resets the consumption cursor.
-  void BuildColdPool(uint64_t k);
+  // Brings the heat index up to date at tick entry: a full rebuild when the
+  // allocator's placement changed since the last sync (or on the first
+  // tick), else a re-file of the pages touched this epoch. Returns the page
+  // slots read.
+  uint64_t SyncIndex();
+
+  // Whether the heat index reflects the allocator's current placement.
+  bool IndexInSync() const;
+
+  // Migrates `page` to `target`, keeping the heat index in step.
+  Status MoveIndexed(PageId page, topology::NodeId target);
+
+  // Ends the current scan interval: advances the recency epoch, starts a
+  // fresh touched list and retires the promoted-page list that falls out of
+  // the migration-feedback window.
+  void AdvanceEpoch();
 
   // Appends one tick's worth of telemetry (no-op without a sink).
   void EmitTickTelemetry(const TickResult& result, double dt_seconds);
@@ -199,34 +239,23 @@ class TieredMemory {
   std::unique_ptr<TieringPolicy> owned_policy_;
   TieringPolicy* policy_ = nullptr;
 
+  // Heat-ordered index of resident pages plus the per-tick cold pool and
+  // promoted-page bookkeeping (tiering.cc). Allocated at the first Tick().
+  std::unique_ptr<HeatIndex> index_;
+  // Pages first touched in the current epoch, appended by RecordAccess and
+  // re-filed in the index at the next Tick() entry.
+  std::vector<uint32_t> touched_;
+
   // Migration-outcome bookkeeping feeding TickObservation (observational
-  // only — never consulted by the mechanisms themselves):
-  // promote-epoch stamp per page, epoch_ + 1 at promotion time (0 = never
-  // promoted), so a demotion or re-access of a recently promoted page is
-  // recognisable within the stamp window.
-  std::vector<uint32_t> promote_epoch_;
+  // only — never consulted by the mechanisms themselves).
   uint64_t tick_ping_pong_ = 0;             // Demotions of recently promoted pages.
   uint64_t tick_recent_promoted_ = 0;       // Recently promoted pages seen in DRAM.
   uint64_t tick_recent_promoted_hot_ = 0;   // ...of those, re-accessed this interval.
 
-  // Per-tick transients (candidate lists, demotion selection heaps) bump-
-  // allocate here; Reset() at each Tick() entry recycles the blocks, so
-  // steady-state ticks do no heap allocation.
+  // Per-tick transients (candidate lists) bump-allocate here; Reset() at
+  // each Tick() entry recycles the blocks, so steady-state ticks do no heap
+  // allocation.
   Arena tick_arena_;
-
-  // Demotion cold pool: the coldest DRAM pages in ascending (heat, id)
-  // order, built by one scan and consumed across the several DemoteColdPages
-  // calls a single Tick makes (heat is constant within a tick, so the
-  // remaining pool entries stay the exact k-smallest of the shrinking DRAM
-  // set). Invalidated at every tick start (decay/access change heat) and
-  // whenever a page enters DRAM whose (heat, id) sorts at or below the
-  // pool's floor — such a page would belong in the pool (cheap test, rare:
-  // promoted pages are hot by construction).
-  std::vector<std::pair<float, PageId>> cold_pool_;
-  size_t cold_pool_next_ = 0;
-  bool cold_pool_valid_ = false;
-  bool cold_pool_complete_ = false;  // Pool covered the whole DRAM set.
-  std::pair<float, PageId> cold_pool_floor_{0.0f, 0};
 
   // Telemetry (observational only).
   telemetry::MetricRegistry* telemetry_ = nullptr;

@@ -6,12 +6,16 @@
 
 #include <limits>
 
+#include "src/apps/kv/kvstore.h"
+#include "src/apps/kv/server.h"
 #include "src/core/experiment.h"
 #include "src/fault/fault.h"
 #include "src/os/numa_policy.h"
 #include "src/os/page_allocator.h"
+#include "src/os/policy.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
+#include "src/workload/ycsb.h"
 
 namespace cxl {
 namespace {
@@ -121,6 +125,49 @@ TEST_F(TieringFaultTest, PromotionFailureArmsExponentialBackoff) {
 }
 
 // --- KV server ------------------------------------------------------------
+
+// A faulted KvServerSim re-attaches the daemon's observers to add its fault
+// injector; a policy override attached before the server was built must
+// survive that re-attach instead of falling back to the owned policy.
+TEST(KvDegradationTest, FaultedServerKeepsPolicyOverride) {
+  class CountingPolicy : public os::HotPageSelectionPolicy {
+   public:
+    using HotPageSelectionPolicy::HotPageSelectionPolicy;
+    os::TickDecision Decide(const os::TickContext& ctx) override {
+      ++decisions;
+      return HotPageSelectionPolicy::Decide(ctx);
+    }
+    int decisions = 0;
+  };
+
+  const auto platform = topology::Platform::CxlServer(false);
+  os::PageAllocator alloc(platform, 16ull << 10);
+  os::TieringConfig tc;
+  os::TieredMemory tiering(alloc, tc);
+  CountingPolicy policy(tc);
+  os::TieredMemory::Observers obs;
+  obs.policy = &policy;
+  tiering.Attach(obs);
+
+  apps::kv::KvStoreConfig cfg;
+  cfg.record_count = 200'000;
+  auto store = apps::kv::KvStore::Create(
+      alloc, os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 1, 1),
+      cfg, &tiering);
+  ASSERT_TRUE(store.ok());
+  workload::YcsbGenerator gen(workload::YcsbWorkload::kC, cfg.record_count, 3);
+  apps::kv::KvServerConfig scfg;
+  scfg.total_ops = 20'000;
+  scfg.warmup_ops = 5'000;
+  // Enabled injector whose only window never opens.
+  fault::FaultInjector faults(fault::FaultPlan().Poison(1e6, 1.0, 1e-4));
+  apps::kv::KvServerSim sim(platform, *store, gen, scfg, &tiering, nullptr, &faults);
+  sim.Run();
+  store->Free();
+
+  EXPECT_EQ(&tiering.policy(), &policy);
+  EXPECT_GT(policy.decisions, 0);
+}
 
 TEST(KvDegradationTest, PoisonedReadsRetryAndQuarantine) {
   core::KeyDbExperimentOptions opt = KvOptions();

@@ -31,7 +31,6 @@ TEST_F(HotnessTest, RecordAccessAccumulatesSampledHeat) {
 TEST_F(HotnessTest, HeatDecaysEachTick) {
   TieringConfig cfg;
   cfg.hint_fault_sample_rate = 1.0;
-  cfg.heat_decay = 0.5;
   TieredMemory tiering(alloc_, cfg);
   auto pages = alloc_.Allocate(NumaPolicy::Bind({0}), 1);
   ASSERT_TRUE(pages.ok());
