@@ -9,13 +9,19 @@
 //
 //   ./bench_calibration            table + summary, exit 1 on any failure
 //   ./bench_calibration --fails    print only violated bands
+//
+// The shared bench flags (--jobs, --bench-json, ...) are accepted as in
+// every other bench; the bands run serially, so --jobs changes nothing.
+// Any other argument is a usage error (exit 2).
 #include <cstring>
 #include <iostream>
 
+#include "src/bench/context.h"
 #include "src/check/calibration.h"
 #include "src/util/table.h"
 
 int main(int argc, char** argv) {
+  auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
   bool fails_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fails") == 0) {
@@ -29,6 +35,7 @@ int main(int argc, char** argv) {
   cxl::PrintSection(std::cout, "Calibration gate — paper-anchored tolerance bands");
   const cxl::check::CalibrationReport report = cxl::check::RunAllCalibrationChecks();
 
+  int failures = 0;
   if (fails_only) {
     cxl::check::CalibrationReport filtered;
     for (const auto& r : report.results()) {
@@ -38,10 +45,14 @@ int main(int argc, char** argv) {
     }
     if (filtered.results().empty()) {
       std::cout << "all " << report.results().size() << " bands in tolerance\n";
-      return 0;
+    } else {
+      failures = filtered.PrintTable(std::cout);
     }
-    return filtered.PrintTable(std::cout) > 0 ? 1 : 0;
+  } else {
+    failures = report.PrintTable(std::cout);
   }
-
-  return report.PrintTable(std::cout) > 0 ? 1 : 0;
+  if (!ctx.Write("bench_calibration")) {
+    return 1;
+  }
+  return failures > 0 ? 1 : 0;
 }

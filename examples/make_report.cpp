@@ -61,10 +61,14 @@ int main() {
     const auto r = core::RunKeyDbExperiment(c, workload::YcsbWorkload::kA, opt);
     return mmem->server.throughput_kops / r->server.throughput_kops;
   };
+  // A value outside the paper's band is printed as a known deviation, not
+  // left for the reader to spot.
+  const double slowdown13 = slowdown(core::CapacityConfig::kInterleave13);
   Row("interleave 3:1 / 1:1 / 1:3 slowdown", "1.2-1.5x",
       FormatDouble(slowdown(core::CapacityConfig::kInterleave31), 2) + "x / " +
           FormatDouble(slowdown(core::CapacityConfig::kInterleave11), 2) + "x / " +
-          FormatDouble(slowdown(core::CapacityConfig::kInterleave13), 2) + "x");
+          FormatDouble(slowdown13, 2) + "x" +
+          (slowdown13 > 1.5 ? " (1:3 above the band: known deviation)" : ""));
   Row("KeyDB-FLASH (0.2 spilled) slowdown", "~1.8x",
       FormatDouble(slowdown(core::CapacityConfig::kMmemSsd02), 2) + "x");
   Row("Hot-Promote slowdown", "\"nearly as well\"",

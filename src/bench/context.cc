@@ -117,7 +117,11 @@ Context Context::FromArgs(int* argc, char** argv) {
       DieUsage("unknown fault knob \"" + key + "\" (see fault::DeclareFaultKnobs)");
     }
   }
-  ctx.fault_tunables_ = fault::FaultTunablesFromKnobs(ctx.knobs_);
+  auto tunables = fault::FaultTunablesFromKnobs(ctx.knobs_);
+  if (!tunables.ok()) {
+    DieUsage("bad --fault-knob: " + tunables.status().message());
+  }
+  ctx.fault_tunables_ = std::move(tunables).value();
   if (!ctx.tiering_policy_.empty() &&
       !os::PolicyRegistry::BuiltIns().Has(ctx.tiering_policy_)) {
     std::string known;

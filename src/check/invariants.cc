@@ -55,10 +55,6 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
     }
   }
 
-  if (sol.mode != mem::SolverMode::kMaxMinFair) {
-    return violations;  // Fairness clauses only bind the max-min allocator.
-  }
-
   // Fair share + work conservation: every throttled flow must be pinned by a
   // saturated resource where no competing flow holds a larger allocation.
   for (size_t i = 0; i < nf; ++i) {

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "src/util/units.h"
@@ -261,25 +262,64 @@ void DeclareFaultKnobs(KnobSet& knobs) {
                 "per-partition shuffle fetch-failure probability on a degraded link");
 }
 
-FaultTunables FaultTunablesFromKnobs(const KnobSet& knobs) {
+StatusOr<FaultTunables> FaultTunablesFromKnobs(const KnobSet& knobs) {
   FaultTunables t;
-  auto get = [&knobs](const char* key, double fallback) {
-    return knobs.IsDeclared(key) ? knobs.Get(key) : fallback;
+  Status error;  // First rejected knob; later reads keep their defaults.
+  auto reject = [&error](const char* key, double value, const char* want) {
+    if (error.ok()) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%g", value);
+      error = Status::InvalidArgument(std::string(key) + " = " + buf + ": " + want);
+    }
   };
-  t.poison_read_retries =
-      static_cast<int>(get("fault.poison_read_retries", t.poison_read_retries));
+  auto get = [&](const char* key, double fallback) {
+    const double value = knobs.IsDeclared(key) ? knobs.Get(key) : fallback;
+    if (!std::isfinite(value)) {
+      reject(key, value, "must be finite");
+      return fallback;
+    }
+    return value;
+  };
+  auto get_int = [&](const char* key, int fallback) {
+    const double value = get(key, fallback);
+    if (!(value >= 0.0 && value <= std::numeric_limits<int>::max() &&
+          value == std::floor(value))) {
+      reject(key, value, "must be a whole number in [0, INT_MAX]");
+      return fallback;
+    }
+    return static_cast<int>(value);
+  };
+  auto get_fraction = [&](const char* key, double fallback) {
+    const double value = get(key, fallback);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      reject(key, value, "must lie in [0, 1]");
+      return fallback;
+    }
+    return value;
+  };
+  t.poison_read_retries = get_int("fault.poison_read_retries", t.poison_read_retries);
   t.flash_timeout_factor = get("fault.flash_timeout_factor", t.flash_timeout_factor);
   t.shed_latency_factor = get("fault.shed_latency_factor", t.shed_latency_factor);
-  t.shed_arm_epochs = static_cast<int>(get("fault.shed_arm_epochs", t.shed_arm_epochs));
-  t.shed_fraction = get("fault.shed_fraction", t.shed_fraction);
-  t.backoff_max_ticks = static_cast<int>(get("fault.backoff_max_ticks", t.backoff_max_ticks));
+  t.shed_arm_epochs = get_int("fault.shed_arm_epochs", t.shed_arm_epochs);
+  t.shed_fraction = get_fraction("fault.shed_fraction", t.shed_fraction);
+  // KvServerSim sheds 1 in round(1 / shed_fraction) arrivals; that period
+  // must fit the uint64_t it is stored in.
+  if (t.shed_fraction > 0.0 &&
+      !(1.0 / t.shed_fraction + 0.5 <
+        static_cast<double>(std::numeric_limits<uint64_t>::max()))) {
+    reject("fault.shed_fraction", t.shed_fraction, "1-in-k shedding period overflows");
+  }
+  t.backoff_max_ticks = get_int("fault.backoff_max_ticks", t.backoff_max_ticks);
   t.llm_batch_shrink_threshold =
-      get("fault.llm_batch_shrink_threshold", t.llm_batch_shrink_threshold);
+      get_fraction("fault.llm_batch_shrink_threshold", t.llm_batch_shrink_threshold);
   t.llm_latency_slo_factor = get("fault.llm_latency_slo_factor", t.llm_latency_slo_factor);
   t.spark_shuffle_partitions =
-      static_cast<int>(get("fault.spark_shuffle_partitions", t.spark_shuffle_partitions));
+      get_int("fault.spark_shuffle_partitions", t.spark_shuffle_partitions);
   t.spark_fetch_failure_probability =
-      get("fault.spark_fetch_failure_probability", t.spark_fetch_failure_probability);
+      get_fraction("fault.spark_fetch_failure_probability", t.spark_fetch_failure_probability);
+  if (!error.ok()) {
+    return error;
+  }
   return t;
 }
 

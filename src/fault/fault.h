@@ -129,7 +129,11 @@ struct FaultTunables {
 void DeclareFaultKnobs(KnobSet& knobs);
 
 // Reads the "fault.*" knobs back into a FaultTunables (declared-or-default).
-FaultTunables FaultTunablesFromKnobs(const KnobSet& knobs);
+// INVALID_ARGUMENT when a value is not finite, an integer knob is not a
+// whole number in [0, INT_MAX], a fraction or probability lies outside
+// [0, 1], or a positive shed_fraction is so small that its 1-in-k shedding
+// period does not fit in 64 bits.
+StatusOr<FaultTunables> FaultTunablesFromKnobs(const KnobSet& knobs);
 
 // Replays a FaultPlan against simulated time and answers "how degraded is
 // the world right now?" queries. Deterministic: all probabilistic draws come

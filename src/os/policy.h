@@ -12,8 +12,8 @@
 // but never asks whether the pages it promoted were worth moving — the
 // mis-adaptation behind the Spark thrashing regression (§4.2.2).
 //
-// The three legacy policies reproduce the historical PromotionMode branches
-// byte-for-byte; AdaptiveFeedbackPolicy adds the outcome-driven feedback
+// The three kernel policies (hot-page selection, MRU balancing, TPP-like)
+// each pick one candidate scan; AdaptiveFeedbackPolicy adds the outcome-driven feedback
 // loop. Third-party policies implement this interface and register in a
 // PolicyRegistry (policy_registry.h).
 #ifndef CXL_EXPLORER_SRC_OS_POLICY_H_
@@ -25,9 +25,8 @@ namespace cxl::os {
 
 struct TieringConfig;
 
-// Which candidate-selection mechanism the daemon runs this tick. These are
-// the selection mechanisms formerly keyed on PromotionMode; they stay inside
-// TieredMemory::Tick (they walk the daemon's heat index), the policy only
+// Which candidate-selection mechanism the daemon runs this tick. The
+// mechanisms stay inside TieredMemory::Tick (they walk the daemon's heat index), the policy only
 // picks one.
 enum class CandidateScan {
   // Heat >= threshold on the low tier, promoted hottest-first (post-v6.1

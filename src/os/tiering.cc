@@ -452,7 +452,7 @@ class HeatIndex {
 };
 
 const char* TieringConfig::PolicyName() const {
-  return policy.empty() ? PolicyNameForMode(mode) : policy.c_str();
+  return policy.empty() ? kHotPageSelectionPolicyName : policy.c_str();
 }
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
@@ -461,9 +461,9 @@ TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
     // names against the registry up front, so this is a programming error —
-    // fall back to the legacy-mode policy rather than crash release builds.
+    // fall back to hot-page selection rather than crash release builds.
     assert(false && "unknown tiering policy name");
-    policy = PolicyRegistry::BuiltIns().Create(PolicyNameForMode(config_.mode), config_);
+    policy = PolicyRegistry::BuiltIns().Create(kHotPageSelectionPolicyName, config_);
   }
   owned_policy_ = std::move(policy).value();
   policy_ = owned_policy_.get();
@@ -1082,58 +1082,6 @@ void TieredMemory::EmitTickEvents(const TickResult& result, uint64_t watermark_d
             .WithA(static_cast<double>(watermark_demoted))
             .WithB(static_cast<double>(watermark_demoted) * page_mb));
   }
-}
-
-void DeclareTieringKnobs(KnobSet& knobs) {
-  const TieringConfig defaults;
-  knobs.Declare("kernel.numa_balancing_promote_rate_limit_MBps",
-                defaults.promote_rate_limit_mbps,
-                "maximum page promotion/demotion throughput (MB/s)");
-  knobs.Declare("vm.hot_page_threshold", defaults.initial_hot_threshold,
-                "sampled accesses per interval for a page to count as hot");
-  knobs.Declare("vm.hot_threshold_auto_adjust", defaults.dynamic_threshold ? 1.0 : 0.0,
-                "1 = adapt the hot threshold to the promotion rate limit");
-  knobs.DeclareString("vm.tiering_policy", defaults.PolicyName(),
-                      "promotion policy name, resolved through os::PolicyRegistry::BuiltIns()");
-  knobs.Declare("vm.numa_balancing_mode", 0.0,
-                "deprecated alias of vm.tiering_policy: 0 = hot page selection (v6.1+), "
-                "1 = MRU NUMA balancing, 2 = TPP-like");
-  knobs.Deprecate("vm.numa_balancing_mode",
-                  "vm.numa_balancing_mode is deprecated; use vm.tiering_policy=<name> "
-                  "(see docs/tiering-policies.md)");
-  knobs.Declare("vm.demotion_free_watermark", defaults.demotion_free_watermark,
-                "DRAM free fraction below which cold pages demote");
-  knobs.Declare("vm.hint_fault_sample_rate", defaults.hint_fault_sample_rate,
-                "fraction of real accesses observed by page-table scanning");
-}
-
-TieringConfig TieringConfigFromKnobs(const KnobSet& knobs) {
-  TieringConfig cfg;
-  auto get = [&](const char* key, double fallback) {
-    return knobs.IsDeclared(key) ? knobs.Get(key) : fallback;
-  };
-  cfg.promote_rate_limit_mbps =
-      get("kernel.numa_balancing_promote_rate_limit_MBps", cfg.promote_rate_limit_mbps);
-  cfg.initial_hot_threshold = get("vm.hot_page_threshold", cfg.initial_hot_threshold);
-  cfg.dynamic_threshold = get("vm.hot_threshold_auto_adjust", 1.0) != 0.0;
-  // Policy selection: an *explicitly set* vm.numa_balancing_mode wins for
-  // one release (deprecated-alias semantics — Set() already warned); else
-  // the string knob selects by registry name. Both sides keep mode and
-  // policy mirrored for the three classic names so legacy readers of
-  // config.mode keep working.
-  if (knobs.IsDeclared("vm.numa_balancing_mode") && knobs.WasSet("vm.numa_balancing_mode")) {
-    const double mode = knobs.Get("vm.numa_balancing_mode");
-    cfg.mode = mode >= 2.0   ? PromotionMode::kTppLike
-               : mode >= 1.0 ? PromotionMode::kMruBalancing
-                             : PromotionMode::kHotPageSelection;
-    cfg.policy = PolicyNameForMode(cfg.mode);
-  } else if (knobs.IsDeclaredString("vm.tiering_policy")) {
-    cfg.policy = knobs.GetString("vm.tiering_policy");
-    ModeForPolicyName(cfg.policy, &cfg.mode);
-  }
-  cfg.demotion_free_watermark = get("vm.demotion_free_watermark", cfg.demotion_free_watermark);
-  cfg.hint_fault_sample_rate = get("vm.hint_fault_sample_rate", cfg.hint_fault_sample_rate);
-  return cfg;
 }
 
 }  // namespace cxl::os

@@ -1,17 +1,12 @@
 #include "src/util/knobs.h"
 
 #include <cassert>
-#include <iostream>
 
 namespace cxl {
 
 void KnobSet::Declare(const std::string& key, double default_value,
                       const std::string& description) {
-  Entry entry;
-  entry.value = default_value;
-  entry.default_value = default_value;
-  entry.description = description;
-  entries_[key] = std::move(entry);
+  entries_[key] = Entry{default_value, default_value, description};
 }
 
 Status KnobSet::Set(const std::string& key, double value) {
@@ -19,13 +14,7 @@ Status KnobSet::Set(const std::string& key, double value) {
   if (it == entries_.end()) {
     return Status::NotFound("unknown knob: " + key);
   }
-  if (it->second.deprecated && !it->second.warned) {
-    // Stderr: the warning must never perturb stdout goldens.
-    std::cerr << "knob: " << it->second.deprecation << "\n";
-    it->second.warned = true;
-  }
   it->second.value = value;
-  it->second.set = true;
   return Status::Ok();
 }
 
@@ -38,57 +27,9 @@ double KnobSet::Get(const std::string& key) const {
   return it->second.value;
 }
 
-bool KnobSet::WasSet(const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    return it->second.set;
-  }
-  auto sit = string_entries_.find(key);
-  return sit != string_entries_.end() && sit->second.set;
-}
-
-void KnobSet::Deprecate(const std::string& key, const std::string& message) {
-  auto it = entries_.find(key);
-  assert(it != entries_.end() && "knob not declared");
-  if (it == entries_.end()) {
-    return;
-  }
-  it->second.deprecated = true;
-  it->second.deprecation = message;
-}
-
-void KnobSet::DeclareString(const std::string& key, const std::string& default_value,
-                            const std::string& description) {
-  string_entries_[key] = StringEntry{default_value, default_value, description};
-}
-
-Status KnobSet::SetString(const std::string& key, const std::string& value) {
-  auto it = string_entries_.find(key);
-  if (it == string_entries_.end()) {
-    return Status::NotFound("unknown knob: " + key);
-  }
-  it->second.value = value;
-  it->second.set = true;
-  return Status::Ok();
-}
-
-std::string KnobSet::GetString(const std::string& key) const {
-  auto it = string_entries_.find(key);
-  assert(it != string_entries_.end() && "knob not declared");
-  if (it == string_entries_.end()) {
-    return std::string();
-  }
-  return it->second.value;
-}
-
 void KnobSet::ResetAll() {
   for (auto& [key, entry] : entries_) {
     entry.value = entry.default_value;
-    entry.set = false;
-  }
-  for (auto& [key, entry] : string_entries_) {
-    entry.value = entry.default_value;
-    entry.set = false;
   }
 }
 

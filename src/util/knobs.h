@@ -14,16 +14,13 @@ namespace cxl {
 
 // String-keyed knob registry with typed accessors and defaults. Unknown keys
 // are rejected at Set() time once the knob has been Declared, mirroring
-// sysctl's behaviour of only accepting registered entries. Numeric and
-// string knobs live in separate namespaces (a key is one or the other).
+// sysctl's behaviour of only accepting registered entries.
 class KnobSet {
  public:
   // Registers a knob with its default value and a one-line description.
   void Declare(const std::string& key, double default_value, const std::string& description);
 
-  // Sets a declared knob. Returns NOT_FOUND for unknown keys. The first
-  // Set() on a Deprecate()d knob prints the deprecation message to stderr
-  // (once per KnobSet instance — no process-wide state).
+  // Sets a declared knob. Returns NOT_FOUND for unknown keys.
   Status Set(const std::string& key, double value);
 
   // Reads a knob; returns the declared default if never Set.
@@ -32,26 +29,7 @@ class KnobSet {
 
   bool IsDeclared(const std::string& key) const { return entries_.count(key) > 0; }
 
-  // True when the knob was explicitly Set() since Declare()/ResetAll() —
-  // distinguishes "left at default" from "set to the default value", which
-  // matters for deprecated aliases that only override when actually used.
-  bool WasSet(const std::string& key) const;
-
-  // Marks a declared numeric knob as deprecated: the first Set() on it
-  // warns with `message` on stderr. Reading stays silent.
-  void Deprecate(const std::string& key, const std::string& message);
-
-  // String-valued knobs (e.g. vm.tiering_policy): same Declare/Set/Get
-  // contract as the numeric surface.
-  void DeclareString(const std::string& key, const std::string& default_value,
-                     const std::string& description);
-  Status SetString(const std::string& key, const std::string& value);
-  std::string GetString(const std::string& key) const;
-  bool IsDeclaredString(const std::string& key) const {
-    return string_entries_.count(key) > 0;
-  }
-
-  // Restores every knob (numeric and string) to its declared default.
+  // Restores every knob to its declared default.
   void ResetAll();
 
   // For documentation dumps.
@@ -59,24 +37,11 @@ class KnobSet {
     double value = 0.0;
     double default_value = 0.0;
     std::string description;
-    bool set = false;         // Explicitly Set() since declaration/reset.
-    bool deprecated = false;  // Deprecate() called; `deprecation` holds the message.
-    bool warned = false;      // Deprecation warning already printed.
-    std::string deprecation;
   };
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
-  struct StringEntry {
-    std::string value;
-    std::string default_value;
-    std::string description;
-    bool set = false;
-  };
-  const std::map<std::string, StringEntry>& string_entries() const { return string_entries_; }
-
  private:
   std::map<std::string, Entry> entries_;
-  std::map<std::string, StringEntry> string_entries_;
 };
 
 }  // namespace cxl

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "src/bench/context.h"
 #include "src/mem/cxl_link.h"
 #include "src/util/knobs.h"
 
@@ -208,15 +210,110 @@ TEST(FaultKnobsTest, DeclareSetAndReadBack) {
   EXPECT_TRUE(knobs.IsDeclared("fault.llm_batch_shrink_threshold"));
 
   // Defaults read back as the FaultTunables defaults.
-  const FaultTunables defaults = FaultTunablesFromKnobs(knobs);
-  EXPECT_EQ(defaults.poison_read_retries, FaultTunables{}.poison_read_retries);
-  EXPECT_DOUBLE_EQ(defaults.shed_latency_factor, FaultTunables{}.shed_latency_factor);
+  const auto defaults = FaultTunablesFromKnobs(knobs);
+  ASSERT_TRUE(defaults.ok()) << defaults.status().message();
+  EXPECT_EQ(defaults->poison_read_retries, FaultTunables{}.poison_read_retries);
+  EXPECT_DOUBLE_EQ(defaults->shed_latency_factor, FaultTunables{}.shed_latency_factor);
 
   ASSERT_TRUE(knobs.Set("fault.poison_read_retries", 5).ok());
   ASSERT_TRUE(knobs.Set("fault.spark_fetch_failure_probability", 0.25).ok());
-  const FaultTunables tuned = FaultTunablesFromKnobs(knobs);
-  EXPECT_EQ(tuned.poison_read_retries, 5);
-  EXPECT_DOUBLE_EQ(tuned.spark_fetch_failure_probability, 0.25);
+  const auto tuned = FaultTunablesFromKnobs(knobs);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().message();
+  EXPECT_EQ(tuned->poison_read_retries, 5);
+  EXPECT_DOUBLE_EQ(tuned->spark_fetch_failure_probability, 0.25);
+}
+
+TEST(FaultKnobsTest, DefaultsRoundTripExactly) {
+  KnobSet knobs;
+  DeclareFaultKnobs(knobs);
+  const auto t = FaultTunablesFromKnobs(knobs);
+  ASSERT_TRUE(t.ok()) << t.status().message();
+  const FaultTunables d;
+  EXPECT_EQ(t->poison_read_retries, d.poison_read_retries);
+  EXPECT_EQ(t->flash_timeout_factor, d.flash_timeout_factor);
+  EXPECT_EQ(t->shed_latency_factor, d.shed_latency_factor);
+  EXPECT_EQ(t->shed_arm_epochs, d.shed_arm_epochs);
+  EXPECT_EQ(t->shed_fraction, d.shed_fraction);
+  EXPECT_EQ(t->backoff_max_ticks, d.backoff_max_ticks);
+  EXPECT_EQ(t->llm_batch_shrink_threshold, d.llm_batch_shrink_threshold);
+  EXPECT_EQ(t->llm_latency_slo_factor, d.llm_latency_slo_factor);
+  EXPECT_EQ(t->spark_shuffle_partitions, d.spark_shuffle_partitions);
+  EXPECT_EQ(t->spark_fetch_failure_probability, d.spark_fetch_failure_probability);
+  // An undeclared set falls back to the same defaults.
+  const auto empty = FaultTunablesFromKnobs(KnobSet{});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->backoff_max_ticks, d.backoff_max_ticks);
+}
+
+// Sets one knob and expects FaultTunablesFromKnobs to reject it, naming the
+// knob in the message.
+void ExpectRejected(const char* key, double value) {
+  KnobSet knobs;
+  DeclareFaultKnobs(knobs);
+  ASSERT_TRUE(knobs.Set(key, value).ok());
+  const auto t = FaultTunablesFromKnobs(knobs);
+  ASSERT_FALSE(t.ok()) << key << " = " << value;
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(t.status().message().find(key), std::string::npos) << t.status().message();
+}
+
+void ExpectAccepted(const char* key, double value) {
+  KnobSet knobs;
+  DeclareFaultKnobs(knobs);
+  ASSERT_TRUE(knobs.Set(key, value).ok());
+  const auto t = FaultTunablesFromKnobs(knobs);
+  EXPECT_TRUE(t.ok()) << key << " = " << value << ": " << t.status().message();
+}
+
+TEST(FaultKnobsTest, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {nan, kInf, -kInf}) {
+    ExpectRejected("fault.flash_timeout_factor", v);
+    ExpectRejected("fault.llm_latency_slo_factor", v);
+    ExpectRejected("fault.poison_read_retries", v);
+    ExpectRejected("fault.shed_fraction", v);
+  }
+}
+
+TEST(FaultKnobsTest, RejectsIntegerKnobsOutsideIntRangeOrFractional) {
+  for (const char* key : {"fault.poison_read_retries", "fault.shed_arm_epochs",
+                          "fault.backoff_max_ticks", "fault.spark_shuffle_partitions"}) {
+    ExpectRejected(key, 1e12);
+    ExpectRejected(key, 2147483648.0);  // INT_MAX + 1.
+    ExpectRejected(key, -1.0);
+    ExpectRejected(key, 2.5);
+    ExpectAccepted(key, 0.0);
+    ExpectAccepted(key, 2147483647.0);  // INT_MAX itself.
+  }
+}
+
+TEST(FaultKnobsTest, RejectsFractionsOutsideUnitInterval) {
+  for (const char* key : {"fault.shed_fraction", "fault.spark_fetch_failure_probability",
+                          "fault.llm_batch_shrink_threshold"}) {
+    ExpectRejected(key, 1.5);
+    ExpectRejected(key, -0.01);
+    ExpectAccepted(key, 0.0);
+    ExpectAccepted(key, 1.0);
+  }
+}
+
+TEST(FaultKnobsTest, RejectsShedFractionWhosePeriodOverflows) {
+  // 1 / 1e-300 does not fit the uint64_t 1-in-k shedding period.
+  ExpectRejected("fault.shed_fraction", 1e-300);
+  ExpectRejected("fault.shed_fraction", 1e-20);
+  ExpectAccepted("fault.shed_fraction", 1e-19);
+  ExpectAccepted("fault.shed_fraction", 0.0);  // Shedding off.
+}
+
+TEST(FaultKnobsDeathTest, BenchContextTurnsRejectionIntoUsageError) {
+  const char* raw[] = {"bench", "--fault-knob", "fault.backoff_max_ticks=1e12"};
+  char* argv[3];
+  for (int i = 0; i < 3; ++i) {
+    argv[i] = const_cast<char*>(raw[i]);
+  }
+  int argc = 3;
+  EXPECT_EXIT(bench::Context::FromArgs(&argc, argv), ::testing::ExitedWithCode(2),
+              "fault.backoff_max_ticks");
 }
 
 }  // namespace

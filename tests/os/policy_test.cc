@@ -1,5 +1,5 @@
-// Pluggable tiering-policy surface: registry resolution, knob plumbing,
-// legacy-mode equivalence, and the AdaptiveFeedbackPolicy feedback loops
+// Pluggable tiering-policy surface: registry resolution, name selection,
+// and the AdaptiveFeedbackPolicy feedback loops
 // (thrash-driven budget cuts, degraded-link backoff).
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "src/os/policy_registry.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
-#include "src/util/knobs.h"
 
 namespace cxl::os {
 namespace {
@@ -62,57 +61,6 @@ TEST(PolicyRegistryTest, RejectsDuplicatesAndEmptyNames) {
   EXPECT_TRUE(registry.Has("third-party"));
 }
 
-TEST(PolicyRegistryTest, ModeNameMappingRoundTrips) {
-  for (const PromotionMode mode :
-       {PromotionMode::kHotPageSelection, PromotionMode::kMruBalancing, PromotionMode::kTppLike}) {
-    PromotionMode back = PromotionMode::kHotPageSelection;
-    ASSERT_TRUE(ModeForPolicyName(PolicyNameForMode(mode), &back));
-    EXPECT_EQ(back, mode);
-  }
-  PromotionMode untouched = PromotionMode::kTppLike;
-  EXPECT_FALSE(ModeForPolicyName(kAdaptiveFeedbackPolicyName, &untouched));
-  EXPECT_EQ(untouched, PromotionMode::kTppLike);  // Left alone on false.
-}
-
-// --- Knob plumbing ---------------------------------------------------------
-
-TEST(PolicyKnobsTest, StringKnobSelectsPolicyByName) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kAdaptiveFeedbackPolicyName).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.policy, kAdaptiveFeedbackPolicyName);
-  EXPECT_STREQ(cfg.PolicyName(), kAdaptiveFeedbackPolicyName);
-}
-
-TEST(PolicyKnobsTest, StringKnobMirrorsLegacyModeForClassicNames) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kMruBalancingPolicyName).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.mode, PromotionMode::kMruBalancing);
-}
-
-TEST(PolicyKnobsTest, ExplicitlySetNumericAliasWins) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kAdaptiveFeedbackPolicyName).ok());
-  // The deprecated alias, explicitly set — even to its default value —
-  // overrides for one release.
-  ASSERT_TRUE(knobs.Set("vm.numa_balancing_mode", 0.0).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.policy, kHotPageSelectionPolicyName);
-  EXPECT_EQ(cfg.mode, PromotionMode::kHotPageSelection);
-}
-
-TEST(PolicyKnobsTest, UnsetNumericAliasDefersToStringKnob) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_STREQ(cfg.PolicyName(), kHotPageSelectionPolicyName);
-  EXPECT_FALSE(knobs.WasSet("vm.numa_balancing_mode"));
-}
-
 // --- Daemon integration ----------------------------------------------------
 
 class PolicyDaemonTest : public ::testing::Test {
@@ -123,13 +71,16 @@ class PolicyDaemonTest : public ::testing::Test {
   PageAllocator alloc_;
 };
 
-TEST_F(PolicyDaemonTest, NameAndEnumSelectTheSamePolicy) {
-  TieringConfig by_name;
-  by_name.policy = kTppLikePolicyName;
-  TieringConfig by_mode;
-  by_mode.mode = PromotionMode::kTppLike;
-  EXPECT_STREQ(TieredMemory(alloc_, by_name).policy().name(),
-               TieredMemory(alloc_, by_mode).policy().name());
+TEST_F(PolicyDaemonTest, EmptyPolicyResolvesToHotPageSelection) {
+  // An empty name is what the experiment drivers pass when no
+  // --tiering-policy was given: it must mean the paper's policy.
+  const TieringConfig unnamed;
+  EXPECT_STREQ(unnamed.PolicyName(), kHotPageSelectionPolicyName);
+  EXPECT_STREQ(TieredMemory(alloc_, unnamed).policy().name(), kHotPageSelectionPolicyName);
+  TieringConfig named;
+  named.policy = kTppLikePolicyName;
+  EXPECT_STREQ(named.PolicyName(), kTppLikePolicyName);
+  EXPECT_STREQ(TieredMemory(alloc_, named).policy().name(), kTppLikePolicyName);
 }
 
 TEST_F(PolicyDaemonTest, AttachedPolicyOverrideDrivesTicksAndObserves) {
