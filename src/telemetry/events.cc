@@ -1,6 +1,7 @@
 #include "src/telemetry/events.h"
 
-#include <algorithm>
+#include <cstddef>
+#include <utility>
 
 namespace cxl::telemetry {
 
@@ -85,20 +86,14 @@ void EventLog::set_capacity(size_t capacity) {
   if (capacity == capacity_) {
     return;
   }
-  if (capacity > 0 && buf_.size() > capacity) {
-    // Keep the latest `capacity` events; evict the rest as dropped.
-    std::vector<Event> kept;
-    kept.reserve(capacity);
-    const size_t n = buf_.size();
-    for (size_t i = n - capacity; i < n; ++i) {
-      kept.push_back(buf_[(head_ + i) % n]);
-    }
-    dropped_ += n - capacity;
-    buf_ = std::move(kept);
-    head_ = 0;
-  } else if (head_ != 0) {
-    // Unwrap so the plain append path below stays valid.
+  if (head_ != 0 || (capacity > 0 && buf_.size() > capacity)) {
+    // Unwrap so the plain append path in Record stays valid, keeping the
+    // latest `capacity` events and evicting the rest as dropped.
     std::vector<Event> kept = Snapshot();
+    if (capacity > 0 && kept.size() > capacity) {
+      dropped_ += kept.size() - capacity;
+      kept.erase(kept.begin(), kept.end() - static_cast<std::ptrdiff_t>(capacity));
+    }
     buf_ = std::move(kept);
     head_ = 0;
   }

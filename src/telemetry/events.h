@@ -154,15 +154,15 @@ class EventLog {
   // Events evicted by the ring bound (0 in full-log mode).
   uint64_t dropped() const { return dropped_; }
 
-  // Visits events oldest-first (the record order, modulo ring eviction).
+  // Visits events oldest-first (the record order, modulo ring eviction):
+  // the ring's two contiguous runs, [head_, size) then [0, head_).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    const size_t n = buf_.size();
-    if (n == 0) {
-      return;
+    for (size_t i = head_; i < buf_.size(); ++i) {
+      fn(buf_[i]);
     }
-    for (size_t i = 0; i < n; ++i) {
-      fn(buf_[(head_ + i) % n]);
+    for (size_t i = 0; i < head_; ++i) {
+      fn(buf_[i]);
     }
   }
   // Materializes the events oldest-first (tests, detectors).

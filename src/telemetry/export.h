@@ -7,6 +7,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "src/telemetry/metrics.h"
 
@@ -37,7 +38,15 @@ void WriteChromeTrace(std::ostream& os, const MetricRegistry& registry);
 // --jobs value.
 void WriteEventsJsonl(std::ostream& os, const MetricRegistry& registry);
 
-// Minimal JSON string escaping (quotes, backslash, control chars).
+// Appends `v` as a JSON number token: std::to_chars general format at
+// precision 12, which the standard defines to give the same characters as
+// printf("%.12g") in the C locale. JSON has no inf/nan, so non-finite values
+// append "0". Every exporter formats its doubles through this.
+void AppendJsonNumber(std::string& out, double v);
+
+// Appends `s` with minimal JSON string escaping (quotes, backslash, control
+// chars); JsonEscape returns the same bytes as a new string.
+void AppendJsonEscaped(std::string& out, std::string_view s);
 std::string JsonEscape(const std::string& s);
 
 }  // namespace cxl::telemetry

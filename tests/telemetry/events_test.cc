@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/telemetry/export.h"
+#include "src/telemetry/metrics.h"
 
 namespace cxl::telemetry {
 namespace {
@@ -117,6 +123,111 @@ TEST(EventLogTest, MergingEmptyLogIsANoOp) {
   EXPECT_EQ(master.size(), 1u);
   // No cell slot burned for a cell that produced nothing.
   EXPECT_TRUE(master.cells().empty());
+}
+
+// Timestamps in order through every reader of the ring: ForEach, Snapshot,
+// a MergeFrom into an empty log and the JSONL export.
+std::vector<double> ForEachOrder(const EventLog& log) {
+  std::vector<double> t;
+  log.ForEach([&t](const Event& e) { t.push_back(e.t_ms); });
+  return t;
+}
+
+std::vector<double> SnapshotOrder(const EventLog& log) {
+  std::vector<double> t;
+  for (const Event& e : log.Snapshot()) {
+    t.push_back(e.t_ms);
+  }
+  return t;
+}
+
+std::vector<double> JsonlOrder(const EventLog& log) {
+  MetricRegistry reg;
+  reg.events().MergeFrom(log, "cell");
+  std::ostringstream os;
+  WriteEventsJsonl(os, reg);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);  // Meta line.
+  std::vector<double> t;
+  while (std::getline(lines, line)) {
+    const std::string key = "{\"t_ms\":";
+    EXPECT_EQ(line.compare(0, key.size(), key), 0) << line;
+    t.push_back(std::strtod(line.c_str() + key.size(), nullptr));
+  }
+  return t;
+}
+
+void ExpectOrder(const EventLog& log, const std::vector<double>& want) {
+  EXPECT_EQ(ForEachOrder(log), want);
+  EXPECT_EQ(SnapshotOrder(log), want);
+  EventLog merged;
+  merged.MergeFrom(log, "cell");
+  EXPECT_EQ(ForEachOrder(merged), want);
+  EXPECT_EQ(JsonlOrder(log), want);
+}
+
+std::vector<double> Range(int begin, int end) {
+  std::vector<double> t;
+  for (int i = begin; i < end; ++i) {
+    t.push_back(i);
+  }
+  return t;
+}
+
+TEST(EventLogRingTest, EveryWrapOffsetReadsOldestFirst) {
+  // Capacities 1 (the ring is one slot), 3 and 7; record counts up to three
+  // wraps, so the oldest event sits at every slot of the ring in turn and
+  // most counts do not divide by the capacity.
+  for (const int capacity : {1, 3, 7}) {
+    for (int n = 0; n <= 3 * capacity + 1; ++n) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + ", " + std::to_string(n) + " records");
+      EventLog log;
+      log.set_capacity(static_cast<size_t>(capacity));
+      for (int i = 0; i < n; ++i) {
+        log.Record(At(i, EventKind::kPagePromote));
+      }
+      const int kept = std::min(n, capacity);
+      EXPECT_EQ(log.size(), static_cast<size_t>(kept));
+      EXPECT_EQ(log.dropped(), static_cast<uint64_t>(n - kept));
+      ExpectOrder(log, Range(n - kept, n));
+    }
+  }
+}
+
+TEST(EventLogRingTest, ShrinkingAWrappedRingKeepsTheLatest) {
+  EventLog log;
+  log.set_capacity(7);
+  for (int i = 0; i < 23; ++i) {  // Wrapped: the oldest survivor is 16.
+    log.Record(At(i, EventKind::kPageDemote));
+  }
+  ExpectOrder(log, Range(16, 23));
+  log.set_capacity(3);
+  EXPECT_EQ(log.dropped(), 20u);
+  ExpectOrder(log, Range(20, 23));
+  // The shrunk ring keeps wrapping from where it was cut.
+  for (int i = 23; i < 27; ++i) {
+    log.Record(At(i, EventKind::kPageDemote));
+  }
+  EXPECT_EQ(log.dropped(), 24u);
+  ExpectOrder(log, Range(24, 27));
+}
+
+TEST(EventLogRingTest, GrowingAWrappedRingAppendsAfterTheNewest) {
+  EventLog log;
+  log.set_capacity(5);
+  for (int i = 0; i < 12; ++i) {  // Wrapped: survivors 7..11.
+    log.Record(At(i, EventKind::kPagePromote));
+  }
+  log.set_capacity(8);
+  for (int i = 12; i < 17; ++i) {  // Fills to 8, then wraps again.
+    log.Record(At(i, EventKind::kPagePromote));
+  }
+  ExpectOrder(log, Range(9, 17));
+  log.set_capacity(0);  // Unbounded from here on.
+  log.Record(At(17, EventKind::kPagePromote));
+  EXPECT_EQ(log.dropped(), 9u);
+  ExpectOrder(log, Range(9, 18));
 }
 
 TEST(EventKindTest, DescriptorTableIsComplete) {
