@@ -124,6 +124,42 @@ FleetResult KvFleetSim::Run() {
   std::vector<uint64_t> host_demand(static_cast<size_t>(hosts));
   std::vector<double> host_latency_us(static_cast<size_t>(hosts));
 
+  // One solver serves every step: per-host DRAM and pool-link resources,
+  // then one per expander. Only the degraded host's link changes its
+  // capacity law, re-pointed each step below.
+  mem::BandwidthSolver solver;
+  std::vector<mem::BandwidthSolver::ResourceId> dram_r(static_cast<size_t>(hosts));
+  std::vector<mem::BandwidthSolver::ResourceId> link_r(static_cast<size_t>(hosts));
+  for (int h = 0; h < hosts; ++h) {
+    dram_r[static_cast<size_t>(h)] =
+        solver.AddResource("dram:" + std::to_string(h), &host_dram_profile_);
+    link_r[static_cast<size_t>(h)] =
+        solver.AddResource("link:" + std::to_string(h), &pool_profile_);
+  }
+  std::vector<mem::BandwidthSolver::ResourceId> exp_r(static_cast<size_t>(rack.expanders()));
+  for (int e = 0; e < rack.expanders(); ++e) {
+    exp_r[static_cast<size_t>(e)] =
+        solver.AddResource("exp:" + std::to_string(e), &pool_profile_);
+  }
+  const bool has_degraded_host = config_.degraded_host >= 0 && config_.degraded_host < hosts;
+
+  // Per-step scratch, sized once: shard rates and each host's flows and
+  // traffic split.
+  std::vector<double> shard_rate(static_cast<size_t>(shards));
+  struct PoolFlowRef {
+    int host;
+    int flow;
+    double share;      // Of the host's pooled traffic.
+    double extra_ns;   // Beyond-first-hop switch latency.
+  };
+  std::vector<int> dram_flow(static_cast<size_t>(hosts));
+  std::vector<PoolFlowRef> pool_flows;
+  std::vector<double> f_dram(static_cast<size_t>(hosts));
+  std::vector<double> f_pool(static_cast<size_t>(hosts));
+  std::vector<double> f_unbacked(static_cast<size_t>(hosts));
+  std::vector<double> host_gbps(static_cast<size_t>(hosts));
+  std::vector<double> host_pool_ns(static_cast<size_t>(hosts));
+
   double latency_weight_sum = 0.0;
   double latency_weighted_sum = 0.0;
   double util_sum = 0.0;
@@ -144,7 +180,6 @@ FleetResult KvFleetSim::Run() {
     step_reshard_budget_ = config_.max_reshard_tenants_per_step;
 
     // Per-shard offered rate and per-host aggregates under the current layout.
-    std::vector<double> shard_rate(static_cast<size_t>(shards));
     std::fill(host_ops.begin(), host_ops.end(), 0.0);
     std::fill(host_tenants.begin(), host_tenants.end(), 0);
     auto recompute_shard = [&](int s) {
@@ -254,36 +289,20 @@ FleetResult KvFleetSim::Run() {
       degraded_link_profile_.emplace(pool_profile_.WithBandwidthScale(
           faults_->CxlBandwidthFactor(), "pool-link-degraded"));
     }
-    mem::BandwidthSolver solver;
-    std::vector<mem::BandwidthSolver::ResourceId> dram_r(static_cast<size_t>(hosts));
-    std::vector<mem::BandwidthSolver::ResourceId> link_r(static_cast<size_t>(hosts));
-    for (int h = 0; h < hosts; ++h) {
-      dram_r[static_cast<size_t>(h)] =
-          solver.AddResource("dram:" + std::to_string(h), &host_dram_profile_);
-      const bool host_degraded = degraded && h == config_.degraded_host;
-      link_r[static_cast<size_t>(h)] = solver.AddResource(
-          "link:" + std::to_string(h),
-          host_degraded ? &*degraded_link_profile_ : &pool_profile_);
-    }
-    std::vector<mem::BandwidthSolver::ResourceId> exp_r(
-        static_cast<size_t>(rack.expanders()));
-    for (int e = 0; e < rack.expanders(); ++e) {
-      exp_r[static_cast<size_t>(e)] =
-          solver.AddResource("exp:" + std::to_string(e), &pool_profile_);
+    solver.ClearFlows();
+    if (has_degraded_host) {
+      // Re-pointing also keeps a profile rebuilt in place above from
+      // matching the solver's warm-start cache.
+      solver.SetResourceProfile(link_r[static_cast<size_t>(config_.degraded_host)],
+                                degraded ? &*degraded_link_profile_ : &pool_profile_);
     }
 
-    struct PoolFlowRef {
-      int host;
-      int flow;
-      double share;      // Of the host's pooled traffic.
-      double extra_ns;   // Beyond-first-hop switch latency.
-    };
-    std::vector<int> dram_flow(static_cast<size_t>(hosts), -1);
-    std::vector<PoolFlowRef> pool_flows;
-    std::vector<double> f_dram(static_cast<size_t>(hosts));
-    std::vector<double> f_pool(static_cast<size_t>(hosts));
-    std::vector<double> f_unbacked(static_cast<size_t>(hosts));
-    std::vector<double> host_gbps(static_cast<size_t>(hosts));
+    std::fill(dram_flow.begin(), dram_flow.end(), -1);
+    pool_flows.clear();
+    std::fill(f_dram.begin(), f_dram.end(), 0.0);
+    std::fill(f_pool.begin(), f_pool.end(), 0.0);
+    std::fill(f_unbacked.begin(), f_unbacked.end(), 0.0);
+    std::fill(host_gbps.begin(), host_gbps.end(), 0.0);
     for (int h = 0; h < hosts; ++h) {
       const uint64_t demand = host_demand[static_cast<size_t>(h)];
       if (demand == 0) {
@@ -333,7 +352,7 @@ FleetResult KvFleetSim::Run() {
     const mem::BandwidthSolver::Solution solution = solver.Solve();
 
     // Per-host mean op latency from the blended stall costs.
-    std::vector<double> host_pool_ns(static_cast<size_t>(hosts));
+    std::fill(host_pool_ns.begin(), host_pool_ns.end(), 0.0);
     for (const PoolFlowRef& ref : pool_flows) {
       const double factor =
           degraded && ref.host == config_.degraded_host ? faults_->CxlLatencyFactor() : 1.0;

@@ -36,7 +36,7 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
     if (rr.achieved_gbps > limit + tolerance * std::max(1.0, limit)) {
       violations.push_back(
           Format("resource %s: delivered %.6f exceeds capacity share %.6f", rr.achieved_gbps,
-                 limit, rr.name));
+                 limit, solver.resource_name(static_cast<Solver::ResourceId>(r))));
     }
   }
 

@@ -55,7 +55,6 @@ class BandwidthSolver {
     double bottleneck_utilization = 0.0;
   };
   struct ResourceResult {
-    std::string name;
     double demand_gbps = 0.0;    // Sum of original offered loads.
     double achieved_gbps = 0.0;  // Sum of delivered loads.
     double capacity_gbps = 0.0;  // Mix-dependent capacity at the solution.
@@ -84,6 +83,11 @@ class BandwidthSolver {
 
   // Removes all flows (resources are kept so topologies can be reused).
   void ClearFlows();
+
+  // Points resource `id` at `capacity_profile` (not owned). The next Solve()
+  // misses the warm-start cache even when the pointer is unchanged: the
+  // caller may have rebuilt the profile in place.
+  void SetResourceProfile(ResourceId id, const PathProfile* capacity_profile);
 
   // Warm-start evidence: total Solve() calls and how many were served from
   // the cache without re-running the allocation.
@@ -120,17 +124,34 @@ class BandwidthSolver {
     std::vector<ResourceId> resources;
   };
 
+  // Per-solve topology index, bump-allocated in scratch_. The flows through
+  // resource r are flows[first[r] .. first[r + 1]), ascending and each listed
+  // once even when its path repeats r. by_offered holds the positive-demand
+  // flows ordered by (offered load, id).
+  struct Demand {
+    double offered_gbps;
+    FlowId id;
+  };
+  struct Index {
+    const size_t* first;
+    const FlowId* flows;
+    const Demand* by_offered;
+    size_t demand_flows;
+  };
+  Index BuildIndex() const;
+
   // Mix-blended capacity of resource `r` when each flow runs at
   // `throughput[i]` (flows at zero weight fall back to the read-only peak).
-  double BlendedCapacity(size_t r, const double* throughput) const;
+  double BlendedCapacity(const Index& index, size_t r, const double* throughput) const;
 
   // Water-filling pass at fixed capacities: progressive filling with demand
   // caps. Writes the per-flow allocation into `alloc` (length flow_count).
-  void WaterFill(const double* capacity, double* alloc) const;
+  void WaterFill(const Index& index, const double* capacity, double* alloc) const;
 
   Solution SolveMaxMin() const;
   // Fills flow latencies and resource aggregates from the allocation.
-  void FinishSolution(const double* throughput, const double* capacity, Solution* sol) const;
+  void FinishSolution(const Index& index, const double* throughput, const double* capacity,
+                      Solution* sol) const;
 
   // True when the current resources and flows, offered loads included,
   // equal the cached inputs.
@@ -139,8 +160,8 @@ class BandwidthSolver {
   std::vector<Resource> resources_;
   std::vector<Flow> flows_;
 
-  // Working vectors (basis/capacity/alloc, water-filling headroom and active
-  // sets) bump-allocate here; Reset() at each cold solve recycles the
+  // Working vectors (the Index, basis/capacity/alloc, water-filling headroom
+  // and active sets) bump-allocate here; Reset() at each cold solve recycles the
   // blocks, so per-epoch re-solves do no heap allocation.
   mutable Arena scratch_;
 

@@ -7,7 +7,9 @@
 namespace cxl::pool {
 
 CxlMemoryPool::CxlMemoryPool(PoolConfig config)
-    : config_(config), total_slices_(config.capacity_bytes / config.slice_bytes) {}
+    : config_(config),
+      total_slices_(config.capacity_bytes / config.slice_bytes),
+      leased_slices_(static_cast<size_t>(std::max(0, config.max_hosts)), 0) {}
 
 Status CxlMemoryPool::Acquire(HostId host, uint64_t bytes) {
   if (host < 0 || host >= config_.max_hosts) {
@@ -20,49 +22,44 @@ Status CxlMemoryPool::Acquire(HostId host, uint64_t bytes) {
   }
   const auto host_cap = static_cast<uint64_t>(config_.per_host_capacity_fraction *
                                               static_cast<double>(total_slices_));
-  // Read-only lookup: operator[] here would insert a zero-lease entry for a
-  // host whose request is about to be denied, and ActiveHosts() would then
-  // count hosts that never held a slice (the phantom-lease bug).
-  const auto it = leased_slices_.find(host);
-  const uint64_t held = it == leased_slices_.end() ? 0 : it->second;
+  uint64_t& held = leased_slices_[static_cast<size_t>(host)];
   if (held + slices > host_cap) {
     ++acquire_failures_;
     return Status::ResourceExhausted("per-host capacity cap reached");
   }
-  leased_slices_[host] += slices;
+  // A host becomes active with its first slice: a denied or zero-byte
+  // request leaves no lease behind (no phantom lease).
+  if (held == 0 && slices > 0) {
+    ++active_hosts_;
+  }
+  held += slices;
   used_slices_ += slices;
   return Status::Ok();
 }
 
 Status CxlMemoryPool::Release(HostId host, uint64_t bytes) {
-  auto it = leased_slices_.find(host);
-  if (it == leased_slices_.end() || it->second == 0) {
+  if (LeasedBytes(host) == 0) {
     return Status::FailedPrecondition("host holds no lease");
   }
+  uint64_t& held = leased_slices_[static_cast<size_t>(host)];
   const uint64_t slices =
-      std::min<uint64_t>((bytes + config_.slice_bytes - 1) / config_.slice_bytes, it->second);
-  it->second -= slices;
+      std::min<uint64_t>((bytes + config_.slice_bytes - 1) / config_.slice_bytes, held);
+  held -= slices;
   used_slices_ -= slices;
-  if (it->second == 0) {
-    leased_slices_.erase(it);
+  if (held == 0) {
+    --active_hosts_;
   }
   return Status::Ok();
 }
 
 void CxlMemoryPool::ReleaseAll(HostId host) {
-  auto it = leased_slices_.find(host);
-  if (it != leased_slices_.end()) {
-    used_slices_ -= it->second;
-    leased_slices_.erase(it);
+  if (LeasedBytes(host) == 0) {
+    return;
   }
+  used_slices_ -= leased_slices_[static_cast<size_t>(host)];
+  leased_slices_[static_cast<size_t>(host)] = 0;
+  --active_hosts_;
 }
-
-uint64_t CxlMemoryPool::LeasedBytes(HostId host) const {
-  auto it = leased_slices_.find(host);
-  return it == leased_slices_.end() ? 0 : it->second * config_.slice_bytes;
-}
-
-int CxlMemoryPool::ActiveHosts() const { return static_cast<int>(leased_slices_.size()); }
 
 const mem::PathProfile& PooledCxlProfile() {
   // Local ASIC CXL + one switch hop each way on the idle latency. Built once

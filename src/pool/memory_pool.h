@@ -14,7 +14,6 @@
 #define CXL_EXPLORER_SRC_POOL_MEMORY_POOL_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/mem/profiles.h"
@@ -52,14 +51,19 @@ class CxlMemoryPool {
   // Releases everything held by `host`.
   void ReleaseAll(HostId host);
 
-  uint64_t LeasedBytes(HostId host) const;
+  uint64_t LeasedBytes(HostId host) const {
+    return host >= 0 && static_cast<size_t>(host) < leased_slices_.size()
+               ? leased_slices_[static_cast<size_t>(host)] * config_.slice_bytes
+               : 0;
+  }
   uint64_t FreeBytes() const { return (total_slices_ - used_slices_) * config_.slice_bytes; }
   uint64_t UsedBytes() const { return used_slices_ * config_.slice_bytes; }
   double Utilization() const {
     return total_slices_ == 0 ? 0.0
                               : static_cast<double>(used_slices_) / static_cast<double>(total_slices_);
   }
-  int ActiveHosts() const;
+  // Hosts holding at least one slice.
+  int ActiveHosts() const { return active_hosts_; }
   const PoolConfig& config() const { return config_; }
 
   // Telemetry counters.
@@ -69,7 +73,8 @@ class CxlMemoryPool {
   PoolConfig config_;
   uint64_t total_slices_;
   uint64_t used_slices_ = 0;
-  std::map<HostId, uint64_t> leased_slices_;
+  std::vector<uint64_t> leased_slices_;  // Per host id in [0, max_hosts).
+  int active_hosts_ = 0;
   uint64_t acquire_failures_ = 0;
 };
 

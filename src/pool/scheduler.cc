@@ -97,6 +97,12 @@ uint64_t PoolScheduler::GrowFromFree(int host, uint64_t need) {
 uint64_t PoolScheduler::BalloonReclaim(int host, uint64_t need) {
   const uint64_t slice = rack_.config().slice_bytes;
   const uint64_t allowance = config_.balloon_slack_slices * slice;
+  // Per-host pooled totals, lowered as each reclaim lands so every test
+  // sees the victim's current lease.
+  host_held_.resize(static_cast<size_t>(rack_.hosts()));
+  for (int h = 0; h < rack_.hosts(); ++h) {
+    host_held_[static_cast<size_t>(h)] = rack_.HostLeasedBytes(h);
+  }
   uint64_t freed = 0;
   uint64_t victims = 0;
   for (int e : rack_.Reachable(host)) {
@@ -108,7 +114,7 @@ uint64_t PoolScheduler::BalloonReclaim(int host, uint64_t need) {
       if (victim == host) {
         continue;
       }
-      const uint64_t victim_held = rack_.HostLeasedBytes(victim);
+      uint64_t& victim_held = host_held_[static_cast<size_t>(victim)];
       const uint64_t victim_demand = demand_[static_cast<size_t>(victim)] + allowance;
       if (victim_held <= victim_demand) {
         continue;
@@ -121,6 +127,7 @@ uint64_t PoolScheduler::BalloonReclaim(int host, uint64_t need) {
         continue;
       }
       (void)pool.Release(victim, reclaim);
+      victim_held -= reclaim;
       freed += reclaim;
       ++victims;
       ++stats_.balloon_reclaims;
@@ -154,6 +161,10 @@ uint64_t PoolScheduler::StrandedBytes() const {
   if (TotalUnmetBytes() == 0) {
     return 0;
   }
+  std::vector<uint64_t> unmet(static_cast<size_t>(rack_.hosts()));
+  for (int h = 0; h < rack_.hosts(); ++h) {
+    unmet[static_cast<size_t>(h)] = UnmetBytes(h);
+  }
   const uint64_t slice = rack_.config().slice_bytes;
   uint64_t stranded = 0;
   for (int e = 0; e < rack_.expanders(); ++e) {
@@ -171,13 +182,13 @@ uint64_t PoolScheduler::StrandedBytes() const {
     const uint64_t cap_bytes = cap_slices * slice;
     uint64_t absorbable = 0;
     for (int h = 0; h < rack_.hosts(); ++h) {
-      const uint64_t unmet = UnmetBytes(h);
-      if (unmet == 0 || !rack_.Reaches(h, e)) {
+      const uint64_t host_unmet = unmet[static_cast<size_t>(h)];
+      if (host_unmet == 0 || !rack_.Reaches(h, e)) {
         continue;
       }
       const uint64_t held = pool.LeasedBytes(h);
       const uint64_t headroom = cap_bytes > held ? cap_bytes - held : 0;
-      absorbable += std::min(unmet, headroom);
+      absorbable += std::min(host_unmet, headroom);
     }
     stranded += free_bytes > absorbable ? free_bytes - absorbable : 0;
   }

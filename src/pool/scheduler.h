@@ -114,6 +114,7 @@ class PoolScheduler {
   Rack& rack_;
   SchedulerConfig config_;
   std::vector<uint64_t> demand_;  // Rounded to slices, per host.
+  std::vector<uint64_t> host_held_;  // BalloonReclaim's per-host lease totals.
   SchedulerStats stats_;
   telemetry::MetricRegistry* telemetry_ = nullptr;
   double now_ms_ = 0.0;

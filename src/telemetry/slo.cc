@@ -1,5 +1,6 @@
 #include "src/telemetry/slo.h"
 
+#include <initializer_list>
 #include <utility>
 
 namespace cxl::telemetry {
@@ -56,10 +57,16 @@ void SloTracker::Finish() {
     CloseViolation(last_t_ms_);
   }
   if (sink_ != nullptr) {
-    const std::string stem = "slo." + spec_.workload;
-    sink_->GetGauge(stem + ".burned_ms").Set(burned_ms_);
-    sink_->GetGauge(stem + ".burn_rate").Set(burn_rate());
-    sink_->GetGauge(stem + ".violations").Set(static_cast<double>(violations_));
+    // The three gauge names share one buffer: slo.<workload> plus a suffix.
+    std::string name = "slo." + spec_.workload;
+    const size_t stem = name.size();
+    for (const auto& [suffix, value] : {std::pair<const char*, double>{".burned_ms", burned_ms_},
+                                        {".burn_rate", burn_rate()},
+                                        {".violations", static_cast<double>(violations_)}}) {
+      name.resize(stem);
+      name += suffix;
+      sink_->GetGauge(name).Set(value);
+    }
   }
 }
 

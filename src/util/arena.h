@@ -91,7 +91,7 @@ class Arena {
     if (block_index_ >= blocks_.size() || blocks_[block_index_].capacity < needed) {
       Block b;
       b.capacity = needed > default_block_bytes_ ? needed : default_block_bytes_;
-      b.data = std::make_unique<std::byte[]>(b.capacity);
+      b.data = std::make_unique_for_overwrite<std::byte[]>(b.capacity);
       blocks_.insert(blocks_.begin() + static_cast<ptrdiff_t>(block_index_), std::move(b));
     }
     Block& b = blocks_[block_index_];

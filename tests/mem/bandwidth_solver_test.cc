@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "src/mem/access.h"
 #include "src/mem/profiles.h"
 #include "src/util/rng.h"
+#include "tests/mem/solution_bits.h"
 
 namespace cxl::mem {
 namespace {
@@ -183,28 +185,6 @@ TEST(SolverTest, ManySmallFlowsFillCapacity) {
 // Warm-start cache (exact-reuse fast path + invalidation rules).
 // ---------------------------------------------------------------------------
 
-// Field-by-field bitwise comparison of two Solutions. EXPECT_DOUBLE_EQ is a
-// bitwise check for non-NaN doubles, which is exactly the contract the
-// exact-reuse fast path promises.
-void ExpectSolutionsBitIdentical(const BandwidthSolver::Solution& a,
-                                 const BandwidthSolver::Solution& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  ASSERT_EQ(a.resources.size(), b.resources.size());
-  EXPECT_EQ(a.iterations, b.iterations);
-  for (size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.flows[i].achieved_gbps, b.flows[i].achieved_gbps);
-    EXPECT_DOUBLE_EQ(a.flows[i].latency_ns, b.flows[i].latency_ns);
-    EXPECT_DOUBLE_EQ(a.flows[i].bottleneck_utilization, b.flows[i].bottleneck_utilization);
-  }
-  for (size_t r = 0; r < a.resources.size(); ++r) {
-    EXPECT_EQ(a.resources[r].name, b.resources[r].name);
-    EXPECT_DOUBLE_EQ(a.resources[r].demand_gbps, b.resources[r].demand_gbps);
-    EXPECT_DOUBLE_EQ(a.resources[r].achieved_gbps, b.resources[r].achieved_gbps);
-    EXPECT_DOUBLE_EQ(a.resources[r].capacity_gbps, b.resources[r].capacity_gbps);
-    EXPECT_DOUBLE_EQ(a.resources[r].utilization, b.resources[r].utilization);
-  }
-}
-
 // The shared two-resource topology the warm-start tests re-solve: one DRAM
 // resource, one CXL resource, and a flow set with a multi-resource member
 // (the shape the KV epoch loop produces).
@@ -307,6 +287,33 @@ TEST(SolverWarmStartTest, StructuralChangesInvalidateTheCache) {
   const uint64_t hits_before = solver.cache_hits();
   (void)solver.Solve();
   EXPECT_EQ(solver.cache_hits(), hits_before);
+}
+
+TEST(SolverWarmStartTest, RePointedResourceMissesTheCacheAtTheSameAddress) {
+  // A caller that rebuilds a profile in place keeps the resource's pointer,
+  // so only SetResourceProfile can tell the cache the capacity law changed.
+  const PathProfile& pd = GetProfile(MemoryPath::kLocalDram);
+  const PathProfile& pc = GetProfile(MemoryPath::kLocalCxl);
+  std::optional<PathProfile> link;
+  link.emplace(pc.WithBandwidthScale(1.0, "link"));
+  BandwidthSolver solver;
+  const auto dram = solver.AddResource("dram", &pd);
+  const auto cxl = solver.AddResource("cxl", &*link);
+  AddEpochFlows(solver, dram, cxl, 40.0, 30.0, 15.0);
+  (void)solver.Solve();
+
+  link.emplace(pc.WithBandwidthScale(0.25, "link"));
+  solver.SetResourceProfile(cxl, &*link);
+  const auto re_pointed = solver.Solve();
+  EXPECT_EQ(solver.cache_hits(), 0u);
+
+  BandwidthSolver fresh;
+  const auto fd = fresh.AddResource("dram", &pd);
+  const auto fc = fresh.AddResource("cxl", &*link);
+  AddEpochFlows(fresh, fd, fc, 40.0, 30.0, 15.0);
+  ExpectSolutionsBitIdentical(re_pointed, fresh.Solve());
+  // The down-scaled link now throttles the CXL flows.
+  EXPECT_LT(re_pointed.flows[1].achieved_gbps, 30.0);
 }
 
 TEST(SolverWarmStartTest, CacheHitLeavesSubsequentColdSolvesIdentical) {

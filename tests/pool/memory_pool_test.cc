@@ -99,6 +99,24 @@ TEST(CxlMemoryPoolTest, DeniedAcquireLeavesNoPhantomLease) {
   EXPECT_EQ(full.ActiveHosts(), 1);
 }
 
+TEST(CxlMemoryPoolTest, ZeroByteAcquireLeavesNoPhantomLease) {
+  // A zero-byte request succeeds but leases nothing: the host must not count
+  // as active, and releasing it must still report that it holds no lease.
+  CxlMemoryPool pool(SmallPool());
+  ASSERT_TRUE(pool.Acquire(4, 0).ok());
+  EXPECT_EQ(pool.ActiveHosts(), 0);
+  EXPECT_EQ(pool.LeasedBytes(4), 0u);
+  EXPECT_EQ(pool.UsedBytes(), 0u);
+  EXPECT_EQ(pool.Release(4, 1_GiB).code(), StatusCode::kFailedPrecondition);
+  // The same after a real lease: a later zero-byte grow changes nothing.
+  ASSERT_TRUE(pool.Acquire(4, 2_GiB).ok());
+  ASSERT_TRUE(pool.Acquire(4, 0).ok());
+  EXPECT_EQ(pool.ActiveHosts(), 1);
+  EXPECT_EQ(pool.LeasedBytes(4), 2_GiB);
+  ASSERT_TRUE(pool.Release(4, 2_GiB).ok());
+  EXPECT_EQ(pool.ActiveHosts(), 0);
+}
+
 TEST(CxlMemoryPoolTest, AcquireReleaseRoundTripConservesBooks) {
   CxlMemoryPool pool(SmallPool());
   ASSERT_TRUE(pool.Acquire(0, 3_GiB).ok());
