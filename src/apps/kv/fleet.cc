@@ -285,14 +285,16 @@ FleetResult KvFleetSim::Run() {
 
     // Traffic: per-host DRAM, pool link, and per-expander device resources
     // through the max-min solver.
-    if (degraded) {
-      degraded_link_profile_.emplace(pool_profile_.WithBandwidthScale(
-          faults_->CxlBandwidthFactor(), "pool-link-degraded"));
+    if (degraded && (!degraded_link_profile_ ||
+                     degraded_link_factor_ != faults_->CxlBandwidthFactor())) {
+      degraded_link_factor_ = faults_->CxlBandwidthFactor();
+      degraded_link_profile_.emplace(
+          pool_profile_.WithBandwidthScale(degraded_link_factor_, "pool-link-degraded"));
     }
     solver.ClearFlows();
     if (has_degraded_host) {
-      // Re-pointing also keeps a profile rebuilt in place above from
-      // matching the solver's warm-start cache.
+      // Re-pointing invalidates the solver's warm-start cache on every
+      // degraded step, so a profile rebuilt in place above never matches it.
       solver.SetResourceProfile(link_r[static_cast<size_t>(config_.degraded_host)],
                                 degraded ? &*degraded_link_profile_ : &pool_profile_);
     }

@@ -157,6 +157,7 @@ class KvFleetSim {
   const mem::PathProfile& pool_profile_;
   mem::PathProfile host_dram_profile_;
   std::optional<mem::PathProfile> degraded_link_profile_;
+  double degraded_link_factor_ = 0.0;  // Bandwidth factor it was built with.
 
   std::vector<std::unique_ptr<telemetry::SloTracker>> shard_slo_;
 

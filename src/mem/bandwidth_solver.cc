@@ -36,8 +36,9 @@ BandwidthSolver::FlowId BandwidthSolver::AddFlow(const PathProfile* latency_prof
                                                  AccessPattern pattern) {
   assert(latency_profile != nullptr);
   assert(offered_gbps >= 0.0);
-  for ([[maybe_unused]] ResourceId r : resources) {
-    assert(r >= 0 && r < static_cast<ResourceId>(resources_.size()));
+  for (auto r = resources.begin(); r != resources.end(); ++r) {
+    assert(*r >= 0 && *r < static_cast<ResourceId>(resources_.size()));
+    assert(std::find(resources.begin(), r, *r) == r && "path lists a resource twice");
   }
   flows_.push_back(Flow{latency_profile, mix, pattern, offered_gbps, std::move(resources)});
   return static_cast<FlowId>(flows_.size()) - 1;
@@ -78,35 +79,24 @@ BandwidthSolver::Index BandwidthSolver::BuildIndex() const {
   const size_t nf = flows_.size();
   const size_t nr = resources_.size();
 
-  // Counting pass: `last[r]` is the last flow counted at r, so a path that
-  // repeats a resource lists the flow once (the sums count it once).
+  // Counting pass, then a fill pass in flow order, so each resource's list
+  // is ascending.
   size_t* first = scratch_.AllocateArray<size_t>(nr + 1);
   std::fill(first, first + nr + 1, 0);
-  FlowId* last = scratch_.AllocateArray<FlowId>(nr);
-  std::fill(last, last + nr, -1);
   for (size_t i = 0; i < nf; ++i) {
     for (ResourceId r : flows_[i].resources) {
-      const auto rr = static_cast<size_t>(r);
-      if (last[rr] != static_cast<FlowId>(i)) {
-        last[rr] = static_cast<FlowId>(i);
-        ++first[rr + 1];
-      }
+      ++first[static_cast<size_t>(r) + 1];
     }
   }
   for (size_t r = 0; r < nr; ++r) {
     first[r + 1] += first[r];
   }
-  // Fill pass in flow order, so each resource's list is ascending and a
-  // repeat shows up as the entry just written.
   FlowId* flows = scratch_.AllocateArray<FlowId>(first[nr]);
   size_t* next = scratch_.AllocateArray<size_t>(nr);
   std::copy(first, first + nr, next);
   for (size_t i = 0; i < nf; ++i) {
     for (ResourceId r : flows_[i].resources) {
-      const auto rr = static_cast<size_t>(r);
-      if (next[rr] == first[rr] || flows[next[rr] - 1] != static_cast<FlowId>(i)) {
-        flows[next[rr]++] = static_cast<FlowId>(i);
-      }
+      flows[next[static_cast<size_t>(r)]++] = static_cast<FlowId>(i);
     }
   }
 
@@ -175,8 +165,7 @@ void BandwidthSolver::WaterFill(const Index& index, const double* capacity, doub
   for (size_t r = 0; r < nr; ++r) {
     headroom[r] = std::max(0.0, capacity[r] * kCapacityShare);
   }
-  // Active flows crossing each resource, a repeated resource counted per
-  // occurrence.
+  // Active flows crossing each resource.
   size_t* active_at = scratch_.AllocateArray<size_t>(nr);
   std::fill(active_at, active_at + nr, 0);
   char* active = scratch_.AllocateArray<char>(nf);

@@ -41,9 +41,10 @@ class BandwidthSolver {
   // (not owned; must outlive the solver). Returns its id.
   ResourceId AddResource(std::string name, const PathProfile* capacity_profile);
 
-  // Registers a flow offering `offered_gbps` of `mix` across `resources`.
-  // `latency_profile` supplies the end-to-end queue model (typically the
-  // path profile of the flow's distance class).
+  // Registers a flow offering `offered_gbps` of `mix` across `resources`,
+  // which must not list a resource twice. `latency_profile` supplies the
+  // end-to-end queue model (typically the path profile of the flow's
+  // distance class).
   FlowId AddFlow(const PathProfile* latency_profile, const AccessMix& mix, double offered_gbps,
                  std::vector<ResourceId> resources,
                  AccessPattern pattern = AccessPattern::kSequential);
@@ -125,9 +126,8 @@ class BandwidthSolver {
   };
 
   // Per-solve topology index, bump-allocated in scratch_. The flows through
-  // resource r are flows[first[r] .. first[r + 1]), ascending and each listed
-  // once even when its path repeats r. by_offered holds the positive-demand
-  // flows ordered by (offered load, id).
+  // resource r are flows[first[r] .. first[r + 1]), ascending. by_offered
+  // holds the positive-demand flows ordered by (offered load, id).
   struct Demand {
     double offered_gbps;
     FlowId id;

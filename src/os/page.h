@@ -10,8 +10,13 @@
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/topology/platform.h"
 #include "src/util/units.h"
@@ -50,6 +55,68 @@ struct ConstPageView {
   const topology::NodeId& node;
   const float& heat;
   const uint32_t& last_decay_epoch;
+};
+
+// Page ids in allocation order: the listed ids, then one run of consecutive
+// ids [run_first, run_first + run_count). PageAllocator::Allocate lists the
+// recycled ids it reused and returns its fresh ids as the run, so a region
+// carved out of a fresh allocator holds no per-page ids at all (an 8-byte
+// id per page was 16 MB for a 2M-page store).
+class PageList {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = PageId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const PageId*;
+    using reference = PageId;
+
+    const_iterator(const PageList* list, size_t index) : list_(list), index_(index) {}
+    PageId operator*() const { return (*list_)[index_]; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++index_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return index_ == o.index_; }
+
+   private:
+    const PageList* list_;
+    size_t index_;
+  };
+  using iterator = const_iterator;
+  using value_type = PageId;
+
+  PageList() = default;
+  explicit PageList(std::vector<PageId> listed, PageId run_first = 0, uint64_t run_count = 0)
+      : listed_(std::move(listed)), run_first_(run_first), run_count_(run_count) {}
+
+  const std::vector<PageId>& listed() const { return listed_; }
+  PageId run_first() const { return run_first_; }
+  uint64_t run_count() const { return run_count_; }
+
+  size_t size() const { return listed_.size() + run_count_; }
+  bool empty() const { return size() == 0; }
+  PageId operator[](size_t i) const {
+    return i < listed_.size() ? listed_[i] : run_first_ + (i - listed_.size());
+  }
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, size()); }
+
+  // Same ids in the same order, however they are split.
+  friend bool operator==(const PageList& a, const PageList& b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  std::vector<PageId> listed_;
+  PageId run_first_ = 0;
+  uint64_t run_count_ = 0;
 };
 
 // vmstat-style counters exposed by the tiering subsystem, named after their

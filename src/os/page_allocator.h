@@ -36,11 +36,13 @@ class PageAllocator {
 
   // Allocates `count` pages under `policy`. Returns the page ids, or
   // RESOURCE_EXHAUSTED if the policy cannot be satisfied (kBind with full
-  // nodes, or the whole machine is full).
-  StatusOr<std::vector<PageId>> Allocate(const NumaPolicy& policy, uint64_t count);
+  // nodes, or the whole machine is full). Recycled ids are reused first, in
+  // free-list pop order, and come back listed; the fresh ids after them are
+  // consecutive (each is page_count() at its turn) and come back as the run.
+  StatusOr<PageList> Allocate(const NumaPolicy& policy, uint64_t count);
 
-  // Frees previously allocated pages.
-  void Free(const std::vector<PageId>& pages);
+  // Frees previously allocated pages; their ids join the free list in order.
+  void Free(const PageList& pages);
 
   // Moves a page to `target`. Returns RESOURCE_EXHAUSTED when the target
   // node is full (the caller — usually MigrationEngine — decides whether to
@@ -66,6 +68,10 @@ class PageAllocator {
   float* mutable_heat_column() { return heat_.data(); }
   const uint32_t* epoch_column() const { return last_epoch_.data(); }
 
+  // Adds to per_node[n] (sized to the node count) the pages of
+  // [first, first + count) that sit on node n; freed slots are skipped.
+  void CountNodes(PageId first, uint64_t count, std::vector<uint64_t>& per_node) const;
+
   // Pages currently resident on DRAM / CXL nodes (sums of per-node
   // occupancy). The daemon uses these only to bound selection sizes.
   uint64_t DramResidentCount() const;
@@ -77,9 +83,15 @@ class PageAllocator {
   }
 
   uint64_t page_bytes() const { return page_bytes_; }
-  uint64_t FreePages(topology::NodeId node) const;
-  uint64_t TotalPages(topology::NodeId node) const;
-  uint64_t UsedPages(topology::NodeId node) const;
+  uint64_t FreePages(topology::NodeId node) const {
+    return node_capacity_[static_cast<size_t>(node)] - node_used_[static_cast<size_t>(node)];
+  }
+  uint64_t TotalPages(topology::NodeId node) const {
+    return node_capacity_[static_cast<size_t>(node)];
+  }
+  uint64_t UsedPages(topology::NodeId node) const {
+    return node_used_[static_cast<size_t>(node)];
+  }
   // Free fraction across all DRAM nodes (used by demotion watermarks).
   double DramFreeFraction() const;
 
@@ -99,6 +111,10 @@ class PageAllocator {
  private:
   // Picks a fallback node with space, preferring DRAM over CXL.
   topology::NodeId FallbackNode() const;
+  // Node for the next page of an Allocate: the policy's `preferred` node
+  // when it has room, else the per-page fallback (the other bound nodes for
+  // kBind, FallbackNode() otherwise). -1 when nothing has room.
+  topology::NodeId PlaceOne(const NumaPolicy& policy, topology::NodeId preferred) const;
 
   const topology::Platform& platform_;
   uint64_t page_bytes_;
@@ -107,7 +123,17 @@ class PageAllocator {
   std::vector<float> heat_;
   std::vector<uint32_t> last_epoch_;
   std::vector<uint8_t> node_is_dram_;
-  std::vector<PageId> free_list_;    // Recycled ids.
+  // Recycled ids, as a stack of ascending id runs. Popping takes the last
+  // run's highest id, the order a flat stack of the same ids gives; freeing
+  // a whole run pushes one entry instead of one id per page.
+  struct IdRun {
+    PageId first;
+    uint64_t count;
+  };
+  void PushFree(PageId first, uint64_t count);
+  PageId PopFree();
+  std::vector<IdRun> free_runs_;
+  uint64_t free_ids_ = 0;  // Ids across free_runs_.
   std::vector<uint64_t> node_used_;  // Pages in use per node.
   std::vector<uint64_t> node_capacity_;
   uint64_t allocated_ = 0;

@@ -6,15 +6,6 @@
 
 namespace cxl::os {
 
-MemoryRegion::MemoryRegion(PageAllocator* allocator, std::vector<PageId> pages, uint64_t bytes)
-    : allocator_(allocator), pages_(std::move(pages)), bytes_(bytes) {
-  // One sequential pass at construction buys the branch-only PageAtIndex.
-  contiguous_ = !pages_.empty();
-  for (size_t i = 1; i < pages_.size() && contiguous_; ++i) {
-    contiguous_ = pages_[i] == pages_[0] + static_cast<PageId>(i);
-  }
-}
-
 StatusOr<MemoryRegion> MemoryRegion::Allocate(PageAllocator& allocator, const NumaPolicy& policy,
                                               uint64_t bytes) {
   const uint64_t page_bytes = allocator.page_bytes();
@@ -28,7 +19,7 @@ StatusOr<MemoryRegion> MemoryRegion::Allocate(PageAllocator& allocator, const Nu
 
 PageId MemoryRegion::PageAtOffset(uint64_t offset) const {
   assert(offset < bytes_);
-  return pages_[offset / allocator_->page_bytes()];
+  return PageAtIndex(offset / allocator_->page_bytes());
 }
 
 std::vector<double> MemoryRegion::NodeShares() const {
@@ -36,27 +27,18 @@ std::vector<double> MemoryRegion::NodeShares() const {
   if (pages_.empty()) {
     return shares;
   }
-  // Contiguous regions read the node column directly in id order — pure
-  // sequential streaming, no indirection through the id vector.
-  const topology::NodeId* node_col = allocator_->node_column();
-  if (contiguous_) {
-    const PageId base = pages_[0];
-    for (size_t i = 0; i < pages_.size(); ++i) {
-      const topology::NodeId n = node_col[base + i];
-      if (n >= 0) {
-        shares[static_cast<size_t>(n)] += 1.0;
-      }
-    }
-  } else {
-    for (PageId id : pages_) {
-      const topology::NodeId n = node_col[id];
-      if (n >= 0) {
-        shares[static_cast<size_t>(n)] += 1.0;
-      }
+  // Whole-page counts are exact in a double, so counting per node and
+  // dividing once gives the same bits as summing 1.0 per page.
+  std::vector<uint64_t> counts(shares.size(), 0);
+  for (PageId id : pages_.listed()) {
+    const topology::NodeId n = allocator_->NodeOf(id);
+    if (n >= 0) {
+      ++counts[static_cast<size_t>(n)];
     }
   }
-  for (auto& s : shares) {
-    s /= static_cast<double>(pages_.size());
+  allocator_->CountNodes(pages_.run_first(), pages_.run_count(), counts);
+  for (size_t n = 0; n < shares.size(); ++n) {
+    shares[n] = static_cast<double>(counts[n]) / static_cast<double>(pages_.size());
   }
   return shares;
 }
@@ -75,8 +57,7 @@ double MemoryRegion::DramShare() const {
 void MemoryRegion::Free() {
   if (!pages_.empty()) {
     allocator_->Free(pages_);
-    pages_.clear();
-    contiguous_ = false;
+    pages_ = PageList();
     bytes_ = 0;
   }
 }

@@ -6,9 +6,18 @@
 
 namespace cxl::sim {
 
-void EventQueue::ScheduleAt(SimTime when, Callback cb) {
+void EventQueue::ScheduleAt(SimTime when, Callback&& cb) {
   assert(when >= now_ && "cannot schedule into the past");
-  heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+  uint64_t slot;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  heap_.push_back(Key{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -17,10 +26,12 @@ bool EventQueue::Step() {
     return false;
   }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Key key = heap_.back();
   heap_.pop_back();
-  now_ = ev.time;
-  ev.cb();
+  Callback cb = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.time;
+  cb();
   return true;
 }
 

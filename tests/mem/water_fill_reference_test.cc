@@ -291,7 +291,6 @@ Topology RandomTopology(Rng& rng, const ProfileSet& profiles) {
     topo.resources.push_back(rng.NextBool(0.05) ? profiles.zero() : profiles.Pick(rng));
   }
   const bool shared_resource = rng.NextBool(0.2);  // Every flow through resource 0.
-  const bool repeats = rng.NextBool(0.25);          // Some paths list a resource twice.
   const size_t nf = 1 + rng.NextBounded(32);
   std::vector<double> earlier;
   for (size_t i = 0; i < nf; ++i) {
@@ -309,9 +308,6 @@ Topology RandomTopology(Rng& rng, const ProfileSet& profiles) {
       if (std::find(f.path.begin(), f.path.end(), r) == f.path.end()) {
         f.path.push_back(r);
       }
-    }
-    if (repeats && !f.path.empty() && rng.NextBool(0.2)) {
-      f.path.push_back(f.path.front());  // A resource listed twice.
     }
     topo.flows.push_back(std::move(f));
   }
@@ -362,7 +358,6 @@ Topology FleetTopology(Rng& rng, const ProfileSet& profiles, int shape, bool deg
 
 struct Coverage {
   int topologies = 0;
-  int invariant_checked = 0;
   int multi_round = 0;
   int throttled = 0;
   int near_tie_freezes = 0;
@@ -374,19 +369,8 @@ void CheckTopology(const Topology& topo, Coverage& coverage) {
   const Solution sol = solver.Solve();
   const Solution ref = ReferenceSolve(topo);
   ExpectSolutionsBitIdentical(sol, ref);
-  // The invariant checker counts a flow once per resource, while the
-  // water-fill charges a repeated resource per listing, so a path that lists
-  // one twice is checked against the reference only.
-  const bool repeats = std::any_of(topo.flows.begin(), topo.flows.end(), [](const TopologyFlow& f) {
-    std::vector<BandwidthSolver::ResourceId> path = f.path;
-    std::sort(path.begin(), path.end());
-    return std::adjacent_find(path.begin(), path.end()) != path.end();
-  });
-  if (!repeats) {
-    const std::vector<std::string> violations = check::SolverInvariantViolations(solver, sol);
-    EXPECT_TRUE(violations.empty()) << violations.front();
-    ++coverage.invariant_checked;
-  }
+  const std::vector<std::string> violations = check::SolverInvariantViolations(solver, sol);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 
   ++coverage.topologies;
   coverage.multi_round += sol.iterations > 1 ? 1 : 0;
@@ -412,7 +396,6 @@ TEST(WaterFillReferenceTest, RandomTopologiesMatchProgressiveFillingBitwise) {
     }
   }
   // The generator must actually reach the corners the rewrite reasons about.
-  EXPECT_GT(coverage.invariant_checked, 1000);
   EXPECT_GT(coverage.multi_round, 500);
   EXPECT_GT(coverage.throttled, 5000);
   EXPECT_GT(coverage.near_tie_freezes, 100);
@@ -455,12 +438,14 @@ TEST(WaterFillReferenceTest, HandBuiltCornersMatchBitwise) {
   zeros.flows.push_back({dram, read, AccessPattern::kSequential, 5.0, {}});
   CheckTopology(zeros, coverage);
 
-  // A path that lists its resource twice: it counts twice against the
-  // headroom and once in the capacity blend and the resource totals.
-  Topology repeat{{dram}, {}};
-  repeat.flows.push_back({dram, read, AccessPattern::kSequential, 50.0, {0, 0}});
-  repeat.flows.push_back({dram, AccessMix::WriteOnly(), AccessPattern::kRandom, 50.0, {0}});
-  CheckTopology(repeat, coverage);
+  // A path that lists a resource twice is rejected when it is added.
+  EXPECT_DEBUG_DEATH(
+      {
+        BandwidthSolver solver;
+        solver.AddResource("r0", dram);
+        solver.AddFlow(dram, read, 50.0, {0, 0});
+      },
+      "twice");
 
   // Read and write flows sharing a resource re-blend its capacity over
   // several rounds.

@@ -462,8 +462,8 @@ void RunScenario(const Scenario& s, Coverage* coverage) {
       }
       // Touch a victim first: a recycled id then carries a current stamp.
       touch(victims.front(), 40);
-      alloc_new.Free(victims);
-      alloc_ref.Free(victims);
+      alloc_new.Free(PageList(victims));
+      alloc_ref.Free(PageList(victims));
       const uint64_t before = alloc_new.page_count();
       allocate(rng.NextBool(0.5) ? NumaPolicy::Bind(dram) : NumaPolicy::Bind(cxl), 8);
       cov.recycled_ids += 8 - std::min<uint64_t>(8, alloc_new.page_count() - before);
