@@ -1,4 +1,4 @@
-// Policy tournament: every policy in os::PolicyRegistry head to head across
+// Policy tournament: every built-in tiering policy head to head across
 // the paper's application shapes, healthy and under fault storms:
 //
 //   (a) KeyDB YCSB-B — the stable Zipfian hot set every policy should handle
@@ -123,7 +123,7 @@ std::unique_ptr<workload::OpSource> MakeKvSource(const std::string& workload,
 struct KvCell {
   std::string workload;  // kv-zipf | kv-scan | kv-llm
   std::string faults;    // FaultState label
-  std::string policy;    // PolicyRegistry name
+  std::string policy;    // os::TieringPolicyNames() entry
   fault::FaultPlan plan;
 };
 

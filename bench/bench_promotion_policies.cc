@@ -51,7 +51,7 @@ StatusOr<PolicyRun> RunKeyDb(const std::string& policy, workload::OpSource& sour
   return run;
 }
 
-// The swept policies: PolicyRegistry name and the label the tables print.
+// The swept policies: policy name and the label the tables print.
 struct PolicyCell {
   std::string policy;
   const char* label;

@@ -76,7 +76,7 @@ struct SparkConfig {
   double network_gbps_per_server = 12.5;
   // Promotion rate limit for kHotPromote (MB/s).
   double promote_rate_limit_mbps = 3000.0;
-  // PolicyRegistry name of the promotion policy for kHotPromote; empty =
+  // Tiering policy name (src/os/policy_registry.h) for kHotPromote; empty =
   // the TieringConfig default (hot page selection).
   std::string tiering_policy;
 

@@ -1,5 +1,6 @@
 #include "src/bench/context.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -13,9 +14,14 @@ namespace cxl::bench {
 
 namespace {
 
+[[noreturn]] void DieUsage(const std::string& message) {
+  std::cerr << "bench: " << message << "\n";
+  std::exit(2);
+}
+
 // Matches `--flag=VALUE` or `--flag VALUE`; advances *i past a consumed
-// separate value. Returns true when `out` was filled. (Same contract as the
-// parsers in runner::JobsFromArgs / telemetry::BenchTelemetry.)
+// separate value. Returns true when `out` was filled. A `--flag` with no
+// argument after it exits 2, as a missing --jobs value does.
 bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out) {
   const char* arg = argv[*i];
   const size_t flag_len = std::strlen(flag);
@@ -27,61 +33,63 @@ bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out)
     return true;
   }
   if (arg[flag_len] == '\0') {
-    if (*i + 1 < argc) {
-      *out = argv[++*i];
+    if (*i + 1 >= argc) {
+      DieUsage(std::string("missing value for ") + flag);
     }
+    *out = argv[++*i];
     return true;
   }
   return false;
 }
 
-[[noreturn]] void DieUsage(const std::string& message) {
-  std::cerr << "bench: " << message << "\n";
-  std::exit(2);
+// Parses a whole decimal count (no sign) or exits 2 naming `flag`.
+uint64_t ParseCountOrDie(const char* flag, const std::string& text) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    DieUsage(std::string("bad ") + flag + " value: " + text);
+  }
+  return value;
 }
 
 }  // namespace
 
 Context Context::FromArgs(int* argc, char** argv) {
   Context ctx;
-  fault::DeclareFaultKnobs(ctx.knobs_);
-
+  telemetry::BenchOutputs outputs;
   std::string faults_spec;
   std::string fault_seed_str;
+  std::string events_ring_str;
   std::vector<std::string> knob_args;
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
-    std::string value;
+    std::string knob;
     if (std::strcmp(argv[i], "--profile-epochs") == 0) {
       if (ctx.profiler_ == nullptr) {
         ctx.profiler_ = std::make_unique<telemetry::EpochProfiler>();
       }
       continue;
     }
-    if (TakeFlag("--faults", &i, *argc, argv, &value)) {
-      faults_spec = value;
+    if (TakeFlag("--fault-knob", &i, *argc, argv, &knob)) {
+      knob_args.push_back(std::move(knob));
       continue;
     }
-    if (TakeFlag("--fault-seed", &i, *argc, argv, &value)) {
-      fault_seed_str = value;
-      continue;
-    }
-    if (TakeFlag("--fault-knob", &i, *argc, argv, &value)) {
-      knob_args.push_back(value);
-      continue;
-    }
-    if (TakeFlag("--tiering-policy", &i, *argc, argv, &value)) {
-      ctx.tiering_policy_ = value;
+    if (TakeFlag("--faults", &i, *argc, argv, &faults_spec) ||
+        TakeFlag("--fault-seed", &i, *argc, argv, &fault_seed_str) ||
+        TakeFlag("--tiering-policy", &i, *argc, argv, &ctx.tiering_policy_) ||
+        TakeFlag("--metrics-out", &i, *argc, argv, &outputs.metrics_path) ||
+        TakeFlag("--trace-out", &i, *argc, argv, &outputs.trace_path) ||
+        TakeFlag("--bench-json", &i, *argc, argv, &outputs.bench_json_path) ||
+        TakeFlag("--events-out", &i, *argc, argv, &outputs.events_path) ||
+        TakeFlag("--events-ring", &i, *argc, argv, &events_ring_str)) {
       continue;
     }
     argv[kept++] = argv[i];
   }
   *argc = kept;
-
-  // The jobs and telemetry parsers strip their own flags from the compacted
-  // argv; order does not matter (they skip unrelated arguments).
+  // --jobs keeps its own grammar (it also accepts -j N and -jN).
   ctx.jobs_ = runner::JobsFromArgs(argc, argv);
-  ctx.telemetry_ = telemetry::BenchTelemetry::FromArgs(argc, argv);
 
   if (!faults_spec.empty()) {
     auto plan = fault::FaultPlan::Parse(faults_spec);
@@ -91,14 +99,7 @@ Context Context::FromArgs(int* argc, char** argv) {
     ctx.faults_ = std::move(plan).value();
   }
   if (!fault_seed_str.empty()) {
-    uint64_t seed = 0;
-    const char* begin = fault_seed_str.data();
-    const char* end = begin + fault_seed_str.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, seed);
-    if (ec != std::errc() || ptr != end) {
-      DieUsage("bad --fault-seed value: " + fault_seed_str);
-    }
-    ctx.fault_seed_ = seed;
+    ctx.fault_seed_ = ParseCountOrDie("--fault-seed", fault_seed_str);
   }
   for (const std::string& kv : knob_args) {
     const size_t eq = kv.find('=');
@@ -112,20 +113,23 @@ Context Context::FromArgs(int* argc, char** argv) {
     if (value_end == value_str.c_str() || *value_end != '\0') {
       DieUsage("bad --fault-knob value: " + kv);
     }
-    const Status set = ctx.knobs_.Set(key, value);
+    const Status set = fault::SetFaultTunable(&ctx.fault_tunables_, key, value);
+    if (set.code() == StatusCode::kNotFound) {
+      DieUsage("unknown fault knob \"" + key + "\" (see fault::FaultTunables)");
+    }
     if (!set.ok()) {
-      DieUsage("unknown fault knob \"" + key + "\" (see fault::DeclareFaultKnobs)");
+      DieUsage("bad --fault-knob: " + set.message());
     }
   }
-  auto tunables = fault::FaultTunablesFromKnobs(ctx.knobs_);
-  if (!tunables.ok()) {
-    DieUsage("bad --fault-knob: " + tunables.status().message());
+  if (!events_ring_str.empty()) {
+    outputs.events_ring = ParseCountOrDie("--events-ring", events_ring_str);
   }
-  ctx.fault_tunables_ = std::move(tunables).value();
+  ctx.telemetry_ = telemetry::BenchTelemetry(std::move(outputs));
+  const std::vector<std::string> policies = os::TieringPolicyNames();
   if (!ctx.tiering_policy_.empty() &&
-      !os::PolicyRegistry::BuiltIns().Has(ctx.tiering_policy_)) {
+      std::find(policies.begin(), policies.end(), ctx.tiering_policy_) == policies.end()) {
     std::string known;
-    for (const auto& name : os::PolicyRegistry::BuiltIns().Names()) {
+    for (const auto& name : policies) {
       known += known.empty() ? name : ", " + name;
     }
     DieUsage("unknown --tiering-policy \"" + ctx.tiering_policy_ + "\" (known: " + known + ")");

@@ -1,8 +1,7 @@
 // Unified bench context: the flag surface every bench_* binary shares.
 //
-// One FromArgs call replaces the previous per-bench composition of
-// runner::JobsFromArgs + telemetry::BenchTelemetry::FromArgs and adds the
-// fault-injection flags, so all benches accept the same contract:
+// One FromArgs call parses every shared flag, so all benches accept the
+// same contract (--jobs through runner::JobsFromArgs, the rest in one pass):
 //
 //   --jobs N | -jN | -j N     worker threads for sweeps (0 = auto)
 //   --metrics-out FILE        metrics JSON (or CSV when FILE ends in .csv)
@@ -15,7 +14,7 @@
 //   --events-ring N           keep only the most recent N events per cell
 //                             (flight-recorder mode; default: full log)
 //   --tiering-policy NAME     promotion policy for experiments that run the
-//                             tiering daemon (a PolicyRegistry name:
+//                             tiering daemon (os::TieringPolicyNames():
 //                             hot-page-selection, mru-balancing, tpp-like,
 //                             adaptive-feedback); unset keeps each bench's
 //                             default
@@ -23,8 +22,8 @@
 //                             "downtrain@2+3=8,poison=1e-4"
 //                             (see fault::FaultPlan::Parse / docs/faults.md)
 //   --fault-seed N            fault injector seed (default 1)
-//   --fault-knob K=V          override a fault.* tunable (repeatable; keys
-//                             from fault::DeclareFaultKnobs)
+//   --fault-knob K=V          override a fault.* tunable (repeatable, applied
+//                             in order through fault::SetFaultTunable)
 //   --profile-epochs          print a per-phase wall-clock breakdown of the
 //                             epoch hot path (solver/scan/telemetry/workload)
 //                             to stderr at Write(); stdout is unchanged
@@ -53,15 +52,16 @@
 #include "src/runner/sweep.h"
 #include "src/telemetry/bench_io.h"
 #include "src/telemetry/epoch_profiler.h"
-#include "src/util/knobs.h"
 
 namespace cxl::bench {
 
 class Context {
  public:
-  // Parses and strips the shared bench flags. A malformed --faults spec or
-  // --fault-knob prints the error to stderr and exits with status 2 — a
-  // bench must not run a half-understood fault plan.
+  // Parses and strips the shared bench flags, leaving every other argument
+  // in argv in order. A flag missing its value, or a malformed --faults
+  // spec, --fault-seed, --fault-knob, --events-ring or --tiering-policy,
+  // prints the error to stderr and exits with status 2 — a bench must not
+  // run a half-understood configuration.
   static Context FromArgs(int* argc, char** argv);
 
   // Worker threads requested via --jobs/-j (0 = auto).
@@ -82,10 +82,8 @@ class Context {
   uint64_t fault_seed() const { return fault_seed_; }
   const fault::FaultTunables& fault_tunables() const { return fault_tunables_; }
   bool faults_enabled() const { return !faults_.empty(); }
-  // The declared fault.* knobs after --fault-knob overrides (for listings).
-  const KnobSet& knobs() const { return knobs_; }
 
-  // --tiering-policy (validated against PolicyRegistry::BuiltIns(); empty
+  // --tiering-policy (validated against os::TieringPolicyNames(); empty
   // when the flag was not given).
   const std::string& tiering_policy() const { return tiering_policy_; }
 
@@ -105,7 +103,6 @@ class Context {
   fault::FaultPlan faults_;
   uint64_t fault_seed_ = 1;
   fault::FaultTunables fault_tunables_;
-  KnobSet knobs_;
   std::string tiering_policy_;
 };
 

@@ -55,9 +55,9 @@ struct ExperimentEnv {
   fault::FaultPlan faults;
   uint64_t fault_seed = 1;
   fault::FaultTunables fault_tunables;
-  // PolicyRegistry name of the tiering policy for experiments that run the
-  // promotion daemon (Hot-Promote configs). Empty = the config default
-  // (hot page selection), leaving legacy runs byte-identical.
+  // Name of the tiering policy (src/os/policy_registry.h) for experiments
+  // that run the promotion daemon (Hot-Promote configs). Empty = the config
+  // default (hot page selection), leaving legacy runs byte-identical.
   std::string tiering_policy;
 
   bool faults_enabled() const { return !faults.empty(); }

@@ -238,89 +238,77 @@ FaultPlan FaultPlan::Storm() {
   return plan;
 }
 
-void DeclareFaultKnobs(KnobSet& knobs) {
-  const FaultTunables d;
-  knobs.Declare("fault.poison_read_retries", d.poison_read_retries,
-                "KV server rereads per poisoned cacheline before giving up");
-  knobs.Declare("fault.flash_timeout_factor", d.flash_timeout_factor,
-                "flash IO-error timeout as a multiple of the normal SSD read");
-  knobs.Declare("fault.shed_latency_factor", d.shed_latency_factor,
-                "epoch latency vs healthy baseline that arms KV load shedding");
-  knobs.Declare("fault.shed_arm_epochs", d.shed_arm_epochs,
-                "consecutive degraded epochs before the KV server sheds load");
-  knobs.Declare("fault.shed_fraction", d.shed_fraction,
-                "fraction of arrivals rejected while the KV server sheds");
-  knobs.Declare("fault.backoff_max_ticks", d.backoff_max_ticks,
-                "tiering-daemon promotion-failure backoff cap, in ticks");
-  knobs.Declare("fault.llm_batch_shrink_threshold", d.llm_batch_shrink_threshold,
-                "CXL bandwidth factor below which LLM serving shrinks batches");
-  knobs.Declare("fault.llm_latency_slo_factor", d.llm_latency_slo_factor,
-                "per-token latency inflation LLM batch shrinking targets");
-  knobs.Declare("fault.spark_shuffle_partitions", d.spark_shuffle_partitions,
-                "shuffle partitions per Spark stage (re-execution granularity)");
-  knobs.Declare("fault.spark_fetch_failure_probability", d.spark_fetch_failure_probability,
-                "per-partition shuffle fetch-failure probability on a degraded link");
-}
+namespace {
 
-StatusOr<FaultTunables> FaultTunablesFromKnobs(const KnobSet& knobs) {
-  FaultTunables t;
-  Status error;  // First rejected knob; later reads keep their defaults.
-  auto reject = [&error](const char* key, double value, const char* want) {
-    if (error.ok()) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%g", value);
-      error = Status::InvalidArgument(std::string(key) + " = " + buf + ": " + want);
-    }
-  };
-  auto get = [&](const char* key, double fallback) {
-    const double value = knobs.IsDeclared(key) ? knobs.Get(key) : fallback;
-    if (!std::isfinite(value)) {
-      reject(key, value, "must be finite");
-      return fallback;
-    }
-    return value;
-  };
-  auto get_int = [&](const char* key, int fallback) {
-    const double value = get(key, fallback);
-    if (!(value >= 0.0 && value <= std::numeric_limits<int>::max() &&
-          value == std::floor(value))) {
-      reject(key, value, "must be a whole number in [0, INT_MAX]");
-      return fallback;
-    }
-    return static_cast<int>(value);
-  };
-  auto get_fraction = [&](const char* key, double fallback) {
-    const double value = get(key, fallback);
-    if (!(value >= 0.0 && value <= 1.0)) {
-      reject(key, value, "must lie in [0, 1]");
-      return fallback;
-    }
-    return value;
-  };
-  t.poison_read_retries = get_int("fault.poison_read_retries", t.poison_read_retries);
-  t.flash_timeout_factor = get("fault.flash_timeout_factor", t.flash_timeout_factor);
-  t.shed_latency_factor = get("fault.shed_latency_factor", t.shed_latency_factor);
-  t.shed_arm_epochs = get_int("fault.shed_arm_epochs", t.shed_arm_epochs);
-  t.shed_fraction = get_fraction("fault.shed_fraction", t.shed_fraction);
-  // KvServerSim sheds 1 in round(1 / shed_fraction) arrivals; that period
-  // must fit the uint64_t it is stored in.
-  if (t.shed_fraction > 0.0 &&
-      !(1.0 / t.shed_fraction + 0.5 <
-        static_cast<double>(std::numeric_limits<uint64_t>::max()))) {
-    reject("fault.shed_fraction", t.shed_fraction, "1-in-k shedding period overflows");
+// The "fault.*" tunables: whole-number rows set an int field; real rows set
+// a double field, which fraction rows confine to [0, 1].
+enum class TunableKind { kInt, kReal, kFraction };
+struct Tunable {
+  const char* name;
+  TunableKind kind;
+  int FaultTunables::*int_field;
+  double FaultTunables::*real_field;
+};
+constexpr Tunable kTunables[] = {
+    {"fault.poison_read_retries", TunableKind::kInt, &FaultTunables::poison_read_retries,
+     nullptr},
+    {"fault.flash_timeout_factor", TunableKind::kReal, nullptr,
+     &FaultTunables::flash_timeout_factor},
+    {"fault.shed_latency_factor", TunableKind::kReal, nullptr,
+     &FaultTunables::shed_latency_factor},
+    {"fault.shed_arm_epochs", TunableKind::kInt, &FaultTunables::shed_arm_epochs, nullptr},
+    {"fault.shed_fraction", TunableKind::kFraction, nullptr, &FaultTunables::shed_fraction},
+    {"fault.backoff_max_ticks", TunableKind::kInt, &FaultTunables::backoff_max_ticks, nullptr},
+    {"fault.llm_batch_shrink_threshold", TunableKind::kFraction, nullptr,
+     &FaultTunables::llm_batch_shrink_threshold},
+    {"fault.llm_latency_slo_factor", TunableKind::kReal, nullptr,
+     &FaultTunables::llm_latency_slo_factor},
+    {"fault.spark_shuffle_partitions", TunableKind::kInt,
+     &FaultTunables::spark_shuffle_partitions, nullptr},
+    {"fault.spark_fetch_failure_probability", TunableKind::kFraction, nullptr,
+     &FaultTunables::spark_fetch_failure_probability},
+};
+
+}  // namespace
+
+Status SetFaultTunable(FaultTunables* tunables, std::string_view key, double value) {
+  const Tunable* row = std::find_if(std::begin(kTunables), std::end(kTunables),
+                                    [key](const Tunable& t) { return key == t.name; });
+  if (row == std::end(kTunables)) {
+    return Status::NotFound("unknown fault tunable: " + std::string(key));
   }
-  t.backoff_max_ticks = get_int("fault.backoff_max_ticks", t.backoff_max_ticks);
-  t.llm_batch_shrink_threshold =
-      get_fraction("fault.llm_batch_shrink_threshold", t.llm_batch_shrink_threshold);
-  t.llm_latency_slo_factor = get("fault.llm_latency_slo_factor", t.llm_latency_slo_factor);
-  t.spark_shuffle_partitions =
-      get_int("fault.spark_shuffle_partitions", t.spark_shuffle_partitions);
-  t.spark_fetch_failure_probability =
-      get_fraction("fault.spark_fetch_failure_probability", t.spark_fetch_failure_probability);
-  if (!error.ok()) {
-    return error;
+  auto reject = [&](const char* want) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return Status::InvalidArgument(std::string(key) + " = " + buf + ": " + want);
+  };
+  if (!std::isfinite(value)) {
+    return reject("must be finite");
   }
-  return t;
+  switch (row->kind) {
+    case TunableKind::kInt:
+      if (!(value >= 0.0 && value <= std::numeric_limits<int>::max() &&
+            value == std::floor(value))) {
+        return reject("must be a whole number in [0, INT_MAX]");
+      }
+      tunables->*row->int_field = static_cast<int>(value);
+      return Status::Ok();
+    case TunableKind::kFraction:
+      if (!(value >= 0.0 && value <= 1.0)) {
+        return reject("must lie in [0, 1]");
+      }
+      // KvServerSim sheds 1 in round(1 / shed_fraction) arrivals; that
+      // period must fit the uint64_t it is stored in.
+      if (row->real_field == &FaultTunables::shed_fraction && value > 0.0 &&
+          !(1.0 / value + 0.5 < static_cast<double>(std::numeric_limits<uint64_t>::max()))) {
+        return reject("1-in-k shedding period overflows");
+      }
+      break;
+    case TunableKind::kReal:
+      break;
+  }
+  tunables->*row->real_field = value;
+  return Status::Ok();
 }
 
 double DegradedLinkBandwidthFactor(const mem::CxlLinkConfig& base, int active_lanes,

@@ -24,7 +24,6 @@
 
 #include "src/mem/cxl_link.h"
 #include "src/telemetry/metrics.h"
-#include "src/util/knobs.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -96,9 +95,9 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
-// Knob-tunable degradation-response parameters shared by all layers.
-// Defaults are conservative production-ish values; DeclareFaultKnobs() makes
-// them discoverable through KnobSet::entries().
+// Degradation-response parameters shared by all layers, each settable by
+// its "fault.*" name through SetFaultTunable (the bench --fault-knob flag).
+// Defaults are conservative production-ish values.
 struct FaultTunables {
   // KV server: reread attempts before a poisoned line is declared lost.
   int poison_read_retries = 2;
@@ -122,18 +121,18 @@ struct FaultTunables {
   // per-partition fetch-failure probability while the link is degraded.
   int spark_shuffle_partitions = 200;
   double spark_fetch_failure_probability = 0.02;
+
+  bool operator==(const FaultTunables&) const = default;
 };
 
-// Registers every tunable above as "fault.*" knobs with its default and a
-// one-line description, so `entries()` documents the fault surface.
-void DeclareFaultKnobs(KnobSet& knobs);
-
-// Reads the "fault.*" knobs back into a FaultTunables (declared-or-default).
-// INVALID_ARGUMENT when a value is not finite, an integer knob is not a
-// whole number in [0, INT_MAX], a fraction or probability lies outside
-// [0, 1], or a positive shed_fraction is so small that its 1-in-k shedding
-// period does not fit in 64 bits.
-StatusOr<FaultTunables> FaultTunablesFromKnobs(const KnobSet& knobs);
+// Sets the tunable named `key` ("fault.shed_fraction", ...: "fault." plus
+// a field name above) to `value`. NOT_FOUND for an unknown key.
+// INVALID_ARGUMENT, naming the key and leaving *tunables unchanged, when the
+// value is not finite, an integer tunable is not a whole number in
+// [0, INT_MAX], a fraction or probability lies outside [0, 1], or a
+// positive shed_fraction is so small that its 1-in-k shedding period does
+// not fit in 64 bits.
+Status SetFaultTunable(FaultTunables* tunables, std::string_view key, double value);
 
 // Replays a FaultPlan against simulated time and answers "how degraded is
 // the world right now?" queries. Deterministic: all probabilistic draws come

@@ -14,8 +14,8 @@
 //
 // The three kernel policies (hot-page selection, MRU balancing, TPP-like)
 // each pick one candidate scan; AdaptiveFeedbackPolicy adds the outcome-driven feedback
-// loop. Third-party policies implement this interface and register in a
-// PolicyRegistry (policy_registry.h).
+// loop. The built-ins are constructed by name (policy_registry.h); any
+// other implementation attaches through TieredMemory::Observers::policy.
 #ifndef CXL_EXPLORER_SRC_OS_POLICY_H_
 #define CXL_EXPLORER_SRC_OS_POLICY_H_
 

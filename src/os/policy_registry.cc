@@ -1,64 +1,54 @@
 #include "src/os/policy_registry.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "src/os/tiering.h"
 
 namespace cxl::os {
 
-Status PolicyRegistry::Register(const std::string& name, Factory factory) {
-  if (name.empty()) {
-    return Status::InvalidArgument("policy name must not be empty");
-  }
-  if (factories_.count(name) > 0) {
-    return Status::AlreadyExists("tiering policy already registered: " + name);
-  }
-  factories_[name] = std::move(factory);
-  return Status::Ok();
+namespace {
+
+template <typename Policy>
+std::unique_ptr<TieringPolicy> Make(const TieringConfig& config) {
+  return std::make_unique<Policy>(config);
 }
 
-StatusOr<std::unique_ptr<TieringPolicy>> PolicyRegistry::Create(
-    const std::string& name, const TieringConfig& config) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
+struct Entry {
+  const char* name;
+  std::unique_ptr<TieringPolicy> (*make)(const TieringConfig&);
+};
+
+// Sorted by name, so TieringPolicyNames() can list them in table order.
+constexpr Entry kPolicies[] = {
+    {kAdaptiveFeedbackPolicyName, &Make<AdaptiveFeedbackPolicy>},
+    {kHotPageSelectionPolicyName, &Make<HotPageSelectionPolicy>},
+    {kMruBalancingPolicyName, &Make<MruBalancingPolicy>},
+    {kTppLikePolicyName, &Make<TppLikePolicy>},
+};
+
+}  // namespace
+
+StatusOr<std::unique_ptr<TieringPolicy>> MakeTieringPolicy(std::string_view name,
+                                                           const TieringConfig& config) {
+  const Entry* entry = std::find_if(std::begin(kPolicies), std::end(kPolicies),
+                                    [name](const Entry& e) { return name == e.name; });
+  if (entry == std::end(kPolicies)) {
     std::string known;
-    for (const auto& n : Names()) {
-      known += known.empty() ? n : ", " + n;
+    for (const Entry& e : kPolicies) {
+      known += known.empty() ? e.name : std::string(", ") + e.name;
     }
-    return Status::NotFound("unknown tiering policy \"" + name + "\" (known: " + known + ")");
+    return Status::NotFound("unknown tiering policy \"" + std::string(name) +
+                            "\" (known: " + known + ")");
   }
-  return it->second(config);
+  return entry->make(config);
 }
 
-std::vector<std::string> PolicyRegistry::Names() const {
-  // std::map iterates in key order, so the listing is already sorted.
+std::vector<std::string> TieringPolicyNames() {
   std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    names.push_back(name);
+  for (const Entry& e : kPolicies) {
+    names.emplace_back(e.name);
   }
   return names;
-}
-
-PolicyRegistry PolicyRegistry::BuiltIns() {
-  PolicyRegistry registry;
-  auto add = [&registry](const char* name, auto make) {
-    const Status s = registry.Register(name, std::move(make));
-    (void)s;  // Fresh registry: the built-in names cannot collide.
-  };
-  add(kHotPageSelectionPolicyName, [](const TieringConfig& config) {
-    return std::unique_ptr<TieringPolicy>(new HotPageSelectionPolicy(config));
-  });
-  add(kMruBalancingPolicyName, [](const TieringConfig& config) {
-    return std::unique_ptr<TieringPolicy>(new MruBalancingPolicy(config));
-  });
-  add(kTppLikePolicyName, [](const TieringConfig& config) {
-    return std::unique_ptr<TieringPolicy>(new TppLikePolicy(config));
-  });
-  add(kAdaptiveFeedbackPolicyName, [](const TieringConfig& config) {
-    return std::unique_ptr<TieringPolicy>(new AdaptiveFeedbackPolicy(config));
-  });
-  return registry;
 }
 
 }  // namespace cxl::os

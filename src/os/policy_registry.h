@@ -1,20 +1,16 @@
-// Name-keyed factory for TieringPolicy implementations.
+// Name-keyed construction of the built-in TieringPolicy implementations.
 //
-// The registry is the one way a policy is chosen: TieringConfig::policy,
+// A policy name is the one way a policy is chosen: TieringConfig::policy,
 // SparkConfig::tiering_policy and the --tiering-policy bench flag carry a
-// policy *name* ("hot-page-selection", "adaptive-feedback", ...) that
-// resolves here. Registries are plain values — BuiltIns() returns a fresh instance
-// and callers hold their own copy — because a mutable process-wide
-// singleton in src/os would be exactly the static-storage determinism
-// hazard cxl_lint's CXL-D004 exists to reject. Third-party policies
-// Register() on the instance they pass around.
+// name ("hot-page-selection", "adaptive-feedback", ...) that resolves here
+// through a fixed table. There is no process-wide mutable registry, so
+// nothing here is static simulation state (cxl_lint's CXL-D004).
 #ifndef CXL_EXPLORER_SRC_OS_POLICY_REGISTRY_H_
 #define CXL_EXPLORER_SRC_OS_POLICY_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/os/policy.h"
@@ -28,29 +24,13 @@ inline constexpr const char kMruBalancingPolicyName[] = "mru-balancing";
 inline constexpr const char kTppLikePolicyName[] = "tpp-like";
 inline constexpr const char kAdaptiveFeedbackPolicyName[] = "adaptive-feedback";
 
-class PolicyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<TieringPolicy>(const TieringConfig&)>;
+// Instantiates the named policy for `config`. NOT_FOUND (listing the known
+// names) for any other name.
+StatusOr<std::unique_ptr<TieringPolicy>> MakeTieringPolicy(std::string_view name,
+                                                           const TieringConfig& config);
 
-  // Registers a factory under `name`. ALREADY_EXISTS on duplicates.
-  Status Register(const std::string& name, Factory factory);
-
-  bool Has(const std::string& name) const { return factories_.count(name) > 0; }
-
-  // Instantiates the named policy for `config`. NOT_FOUND (listing the
-  // known names) for unregistered names.
-  StatusOr<std::unique_ptr<TieringPolicy>> Create(const std::string& name,
-                                                  const TieringConfig& config) const;
-
-  // Registered names in sorted order (for listings and error messages).
-  std::vector<std::string> Names() const;
-
-  // A registry holding the four built-in policies, by value.
-  static PolicyRegistry BuiltIns();
-
- private:
-  std::map<std::string, Factory> factories_;
-};
+// The built-in policy names in sorted order (for listings and messages).
+std::vector<std::string> TieringPolicyNames();
 
 }  // namespace cxl::os
 

@@ -457,13 +457,13 @@ const char* TieringConfig::PolicyName() const {
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
     : allocator_(allocator), config_(std::move(config)) {
-  auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
+  auto policy = MakeTieringPolicy(config_.PolicyName(), config_);
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
-    // names against the registry up front, so this is a programming error —
-    // fall back to hot-page selection rather than crash release builds.
+    // names up front, so this is a programming error — fall back to
+    // hot-page selection rather than crash release builds.
     assert(false && "unknown tiering policy name");
-    policy = PolicyRegistry::BuiltIns().Create(kHotPageSelectionPolicyName, config_);
+    policy = MakeTieringPolicy(kHotPageSelectionPolicyName, config_);
   }
   owned_policy_ = std::move(policy).value();
   policy_ = owned_policy_.get();

@@ -14,8 +14,8 @@
 //     thrashing regression the paper reports (§4.2.2).
 //
 // *Which* pages promote, under what threshold and budget, is decided by a
-// pluggable TieringPolicy (src/os/policy.h) resolved by name through the
-// PolicyRegistry; TieredMemory owns the mechanisms (candidate selection,
+// pluggable TieringPolicy (src/os/policy.h) resolved by name through
+// MakeTieringPolicy; TieredMemory owns the mechanisms (candidate selection,
 // migration, the demotion cold pool, fault gates) and feeds the policy
 // per-tick observations.
 //
@@ -53,7 +53,7 @@
 namespace cxl::os {
 
 struct TieringConfig {
-  // PolicyRegistry name of the promotion policy (src/os/policy.h, §2.3):
+  // Name of the promotion policy (src/os/policy_registry.h, §2.3):
   //  - "hot-page-selection" (also selected by an empty name): the post-v6.1
   //    patch — heat threshold (optionally dynamic) + promotion rate limit.
   //    What the paper's experiments use.
@@ -79,7 +79,7 @@ struct TieringConfig {
   // Fraction of real accesses observed by hint-fault sampling.
   double hint_fault_sample_rate = 0.05;
 
-  // The effective PolicyRegistry name (policy, or hot-page-selection when
+  // The effective policy name (policy, or hot-page-selection when
   // policy is empty).
   const char* PolicyName() const;
 };

@@ -7,11 +7,11 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bench/context.h"
 #include "src/mem/cxl_link.h"
-#include "src/util/knobs.h"
 
 namespace cxl::fault {
 namespace {
@@ -202,67 +202,64 @@ TEST(FaultInjectorTest, SameSeedSameDrawSequence) {
 }
 
 TEST(FaultKnobsTest, DeclareSetAndReadBack) {
-  KnobSet knobs;
-  DeclareFaultKnobs(knobs);
-  EXPECT_TRUE(knobs.IsDeclared("fault.poison_read_retries"));
-  EXPECT_TRUE(knobs.IsDeclared("fault.shed_latency_factor"));
-  EXPECT_TRUE(knobs.IsDeclared("fault.backoff_max_ticks"));
-  EXPECT_TRUE(knobs.IsDeclared("fault.llm_batch_shrink_threshold"));
+  FaultTunables t;
+  ASSERT_TRUE(SetFaultTunable(&t, "fault.poison_read_retries", 5).ok());
+  ASSERT_TRUE(SetFaultTunable(&t, "fault.spark_fetch_failure_probability", 0.25).ok());
+  EXPECT_EQ(t.poison_read_retries, 5);
+  EXPECT_DOUBLE_EQ(t.spark_fetch_failure_probability, 0.25);
+  // Every other field keeps its default.
+  EXPECT_DOUBLE_EQ(t.shed_latency_factor, FaultTunables{}.shed_latency_factor);
 
-  // Defaults read back as the FaultTunables defaults.
-  const auto defaults = FaultTunablesFromKnobs(knobs);
-  ASSERT_TRUE(defaults.ok()) << defaults.status().message();
-  EXPECT_EQ(defaults->poison_read_retries, FaultTunables{}.poison_read_retries);
-  EXPECT_DOUBLE_EQ(defaults->shed_latency_factor, FaultTunables{}.shed_latency_factor);
-
-  ASSERT_TRUE(knobs.Set("fault.poison_read_retries", 5).ok());
-  ASSERT_TRUE(knobs.Set("fault.spark_fetch_failure_probability", 0.25).ok());
-  const auto tuned = FaultTunablesFromKnobs(knobs);
-  ASSERT_TRUE(tuned.ok()) << tuned.status().message();
-  EXPECT_EQ(tuned->poison_read_retries, 5);
-  EXPECT_DOUBLE_EQ(tuned->spark_fetch_failure_probability, 0.25);
+  // An unknown key is NOT_FOUND and leaves the tunables alone.
+  const Status unknown = SetFaultTunable(&t, "fault.no_such_knob", 1.0);
+  EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+  EXPECT_NE(unknown.message().find("fault.no_such_knob"), std::string::npos);
+  EXPECT_EQ(SetFaultTunable(&t, "poison_read_retries", 1.0).code(), StatusCode::kNotFound);
+  FaultTunables expected;
+  expected.poison_read_retries = 5;
+  expected.spark_fetch_failure_probability = 0.25;
+  EXPECT_TRUE(t == expected);
 }
 
 TEST(FaultKnobsTest, DefaultsRoundTripExactly) {
-  KnobSet knobs;
-  DeclareFaultKnobs(knobs);
-  const auto t = FaultTunablesFromKnobs(knobs);
-  ASSERT_TRUE(t.ok()) << t.status().message();
+  // Setting every knob of an all-zero set to its default reproduces the
+  // defaults bit for bit, so the table covers every field.
   const FaultTunables d;
-  EXPECT_EQ(t->poison_read_retries, d.poison_read_retries);
-  EXPECT_EQ(t->flash_timeout_factor, d.flash_timeout_factor);
-  EXPECT_EQ(t->shed_latency_factor, d.shed_latency_factor);
-  EXPECT_EQ(t->shed_arm_epochs, d.shed_arm_epochs);
-  EXPECT_EQ(t->shed_fraction, d.shed_fraction);
-  EXPECT_EQ(t->backoff_max_ticks, d.backoff_max_ticks);
-  EXPECT_EQ(t->llm_batch_shrink_threshold, d.llm_batch_shrink_threshold);
-  EXPECT_EQ(t->llm_latency_slo_factor, d.llm_latency_slo_factor);
-  EXPECT_EQ(t->spark_shuffle_partitions, d.spark_shuffle_partitions);
-  EXPECT_EQ(t->spark_fetch_failure_probability, d.spark_fetch_failure_probability);
-  // An undeclared set falls back to the same defaults.
-  const auto empty = FaultTunablesFromKnobs(KnobSet{});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->backoff_max_ticks, d.backoff_max_ticks);
+  FaultTunables t{0, 0.0, 0.0, 0, 0.0, 0, 0.0, 0.0, 0, 0.0};
+  const std::pair<const char*, double> knobs[] = {
+      {"fault.poison_read_retries", d.poison_read_retries},
+      {"fault.flash_timeout_factor", d.flash_timeout_factor},
+      {"fault.shed_latency_factor", d.shed_latency_factor},
+      {"fault.shed_arm_epochs", d.shed_arm_epochs},
+      {"fault.shed_fraction", d.shed_fraction},
+      {"fault.backoff_max_ticks", d.backoff_max_ticks},
+      {"fault.llm_batch_shrink_threshold", d.llm_batch_shrink_threshold},
+      {"fault.llm_latency_slo_factor", d.llm_latency_slo_factor},
+      {"fault.spark_shuffle_partitions", d.spark_shuffle_partitions},
+      {"fault.spark_fetch_failure_probability", d.spark_fetch_failure_probability},
+  };
+  for (const auto& [key, value] : knobs) {
+    const Status set = SetFaultTunable(&t, key, value);
+    ASSERT_TRUE(set.ok()) << key << ": " << set.message();
+  }
+  EXPECT_TRUE(t == d);
 }
 
-// Sets one knob and expects FaultTunablesFromKnobs to reject it, naming the
-// knob in the message.
+// Expects SetFaultTunable to reject one value, naming the knob in the
+// message and leaving the tunables at their defaults.
 void ExpectRejected(const char* key, double value) {
-  KnobSet knobs;
-  DeclareFaultKnobs(knobs);
-  ASSERT_TRUE(knobs.Set(key, value).ok());
-  const auto t = FaultTunablesFromKnobs(knobs);
-  ASSERT_FALSE(t.ok()) << key << " = " << value;
-  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(t.status().message().find(key), std::string::npos) << t.status().message();
+  FaultTunables t;
+  const Status set = SetFaultTunable(&t, key, value);
+  ASSERT_FALSE(set.ok()) << key << " = " << value;
+  EXPECT_EQ(set.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(set.message().find(key), std::string::npos) << set.message();
+  EXPECT_TRUE(t == FaultTunables{}) << key << " = " << value;
 }
 
 void ExpectAccepted(const char* key, double value) {
-  KnobSet knobs;
-  DeclareFaultKnobs(knobs);
-  ASSERT_TRUE(knobs.Set(key, value).ok());
-  const auto t = FaultTunablesFromKnobs(knobs);
-  EXPECT_TRUE(t.ok()) << key << " = " << value << ": " << t.status().message();
+  FaultTunables t;
+  const Status set = SetFaultTunable(&t, key, value);
+  EXPECT_TRUE(set.ok()) << key << " = " << value << ": " << set.message();
 }
 
 TEST(FaultKnobsTest, RejectsNonFiniteValues) {

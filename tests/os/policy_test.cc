@@ -1,4 +1,4 @@
-// Pluggable tiering-policy surface: registry resolution, name selection,
+// Pluggable tiering-policy surface: construction by name, name selection,
 // and the AdaptiveFeedbackPolicy feedback loops
 // (thrash-driven budget cuts, degraded-link backoff).
 #include <gtest/gtest.h>
@@ -21,44 +21,34 @@ using topology::Platform;
 
 constexpr double kInf = 1e18;
 
-// --- Registry --------------------------------------------------------------
+// --- Names -----------------------------------------------------------------
 
 TEST(PolicyRegistryTest, BuiltInsKnowAllFourPolicies) {
-  const PolicyRegistry registry = PolicyRegistry::BuiltIns();
-  const std::vector<std::string> names = registry.Names();
+  const std::vector<std::string> names = TieringPolicyNames();
   ASSERT_EQ(names.size(), 4u);
-  // std::map order: sorted.
+  // Sorted.
   EXPECT_EQ(names[0], kAdaptiveFeedbackPolicyName);
   EXPECT_EQ(names[1], kHotPageSelectionPolicyName);
   EXPECT_EQ(names[2], kMruBalancingPolicyName);
   EXPECT_EQ(names[3], kTppLikePolicyName);
   for (const auto& name : names) {
-    EXPECT_TRUE(registry.Has(name));
     const TieringConfig cfg;
-    auto policy = registry.Create(name, cfg);
+    auto policy = MakeTieringPolicy(name, cfg);
     ASSERT_TRUE(policy.ok()) << name;
     EXPECT_STREQ((*policy)->name(), name.c_str());
   }
 }
 
 TEST(PolicyRegistryTest, UnknownNameListsKnownOnes) {
-  const PolicyRegistry registry = PolicyRegistry::BuiltIns();
-  EXPECT_FALSE(registry.Has("nope"));
   const TieringConfig cfg;
-  const auto policy = registry.Create("nope", cfg);
-  ASSERT_FALSE(policy.ok());
-  EXPECT_NE(policy.status().message().find(kHotPageSelectionPolicyName), std::string::npos);
-}
-
-TEST(PolicyRegistryTest, RejectsDuplicatesAndEmptyNames) {
-  PolicyRegistry registry = PolicyRegistry::BuiltIns();
-  auto make = [](const TieringConfig& cfg) {
-    return std::unique_ptr<TieringPolicy>(new TppLikePolicy(cfg));
-  };
-  EXPECT_FALSE(registry.Register(kTppLikePolicyName, make).ok());
-  EXPECT_FALSE(registry.Register("", make).ok());
-  ASSERT_TRUE(registry.Register("third-party", make).ok());
-  EXPECT_TRUE(registry.Has("third-party"));
+  for (const char* name : {"nope", "", "Hot-Page-Selection", "tpp-like "}) {
+    const auto policy = MakeTieringPolicy(name, cfg);
+    ASSERT_FALSE(policy.ok()) << name;
+    EXPECT_EQ(policy.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(policy.status().message(),
+              "unknown tiering policy \"" + std::string(name) +
+                  "\" (known: adaptive-feedback, hot-page-selection, mru-balancing, tpp-like)");
+  }
 }
 
 // --- Daemon integration ----------------------------------------------------

@@ -36,11 +36,11 @@ namespace {
 
 using TickResult = TieredMemory::TickResult;
 
-// Delegates to a registry-built policy and records every observation.
+// Delegates to a built-in policy and records every observation.
 class RecordingPolicy : public TieringPolicy {
  public:
   RecordingPolicy(const std::string& name, const TieringConfig& config)
-      : inner_(std::move(PolicyRegistry::BuiltIns().Create(name, config)).value()) {}
+      : inner_(std::move(MakeTieringPolicy(name, config)).value()) {}
 
   const char* name() const override { return inner_->name(); }
   int32_t event_reason() const override { return inner_->event_reason(); }

@@ -11,9 +11,12 @@
 // matrix change doesn't masquerade as a perf regression. A regression is
 // fresh wall_ms > baseline wall_ms * (1 + max_regress); the default
 // max_regress is 0.25 per the perf-smoke contract (CI passes a looser bound
-// on shared runners — see .github/workflows/ci.yml).
+// on shared runners — see .github/workflows/ci.yml). FRACTION must be a
+// finite number >= 0: NaN would pass every run and a negative bound would
+// fail every run.
 //
 // Exit codes: 0 ok / not comparable, 1 regression, 2 usage or I/O error.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -25,6 +28,19 @@
 #include "tools/report/json_lite.h"
 
 namespace {
+
+constexpr char kUsage[] = "usage: bench_diff BASELINE.json FRESH.json [--max-regress FRACTION]\n";
+
+// Parses a --max-regress value: the whole text is one finite number >= 0.
+bool ParseMaxRegress(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 bool LoadSummary(const char* path, cxl::report::JsonValue* out) {
   std::ifstream is(path, std::ios::binary);
@@ -49,18 +65,24 @@ int main(int argc, char** argv) {
   double max_regress = 0.25;
   std::vector<const char*> paths;
   for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
     if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-      max_regress = std::strtod(argv[++i], nullptr);
+      value = argv[++i];
+    } else if (std::strncmp(argv[i], "--max-regress=", 14) == 0) {
+      value = argv[i] + 14;
+    } else {
+      paths.push_back(argv[i]);
       continue;
     }
-    if (std::strncmp(argv[i], "--max-regress=", 14) == 0) {
-      max_regress = std::strtod(argv[i] + 14, nullptr);
-      continue;
+    if (!ParseMaxRegress(value, &max_regress)) {
+      std::cerr << "bench_diff: bad --max-regress value: " << value
+                << " (want a finite fraction >= 0)\n"
+                << kUsage;
+      return 2;
     }
-    paths.push_back(argv[i]);
   }
   if (paths.size() != 2) {
-    std::cerr << "usage: bench_diff BASELINE.json FRESH.json [--max-regress FRACTION]\n";
+    std::cerr << kUsage;
     return 2;
   }
   cxl::report::JsonValue baseline;
